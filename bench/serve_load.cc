@@ -267,7 +267,7 @@ int main() {
       if (e > 0) {
         const Relation delta = refresh_delta(e);
         rolling = MergeDeltaCube(
-            *cur, ComputeDeltaCube(delta, schema, AffectedViews(*cur, delta)));
+            *cur, ComputeDeltaCube(delta, schema, *cur));
         cur = &rolling;
       }
       const CubeQueryEngine epoch_engine(*cur);

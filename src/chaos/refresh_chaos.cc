@@ -116,7 +116,7 @@ RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
   delta_ = GenerateSlice(dspec, 1, 0);
   post_cube_ = MergeDeltaCube(
       pre_cube_,
-      ComputeDeltaCube(delta_, schema_, AffectedViews(pre_cube_, delta_)));
+      ComputeDeltaCube(delta_, schema_, pre_cube_));
 
   // Fixed stream with BOTH golden answers per request: shrink replays the
   // same traffic, only the faults change.

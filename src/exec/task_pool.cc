@@ -113,31 +113,6 @@ void TaskPool::Execute(Task task) {
   task.group->Finish(task.index, std::move(error));
 }
 
-void TaskPool::ParallelFor(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  if (threads_ <= 1 || n <= grain || OnWorkerThread()) {
-    body(0, n);
-    return;
-  }
-  // More chunks than contexts so stealing can rebalance ragged chunk costs,
-  // capped so per-task overhead stays negligible. Boundaries are a pure
-  // function of (n, grain, threads): determinism of the chunking itself.
-  const std::size_t max_chunks = static_cast<std::size_t>(threads_) * 4;
-  const std::size_t chunks =
-      std::min(max_chunks, (n + grain - 1) / grain);
-  TaskGroup group(this);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    if (begin == end) continue;
-    group.Run([&body, begin, end] { body(begin, end); });
-  }
-  group.Wait();
-}
-
 // ---------------------------------------------------------------------------
 // TaskGroup
 

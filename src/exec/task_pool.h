@@ -5,7 +5,7 @@
 // adds intra-rank parallelism underneath the BSP model without changing its
 // semantics: a rank thread owns one pool of `threads - 1` real worker
 // threads (the rank thread itself is the pool's first execution context) and
-// fans work out through fork-join TaskGroups and chunked ParallelFor loops.
+// fans work out through fork-join TaskGroups.
 //
 // Scheduling is work-stealing: every execution context (slot) has its own
 // deque, tasks are distributed round-robin across the slots at submission,
@@ -14,7 +14,7 @@
 // stuck behind a long task sheds its queued work to whoever is free.
 //
 // Determinism contract: the pool schedules *execution*, never *results*.
-// Chunk boundaries are pure functions of (n, grain, threads); tasks write
+// Chunk boundaries are pure functions of (n, threads); tasks write
 // disjoint data; joins are full barriers. Algorithm results are therefore
 // byte-identical for every thread count — only wall-clock time and the
 // simulated span charge (Comm::ChargeParallelCpu) vary. Exceptions are
@@ -51,7 +51,7 @@ class TaskPool {
  public:
   // Spawns `threads - 1` workers; the constructing (rank) thread is the
   // pool's remaining execution context. threads <= 1 builds an inert pool:
-  // every TaskGroup/ParallelFor runs inline on the caller.
+  // every TaskGroup runs inline on the caller.
   explicit TaskPool(int threads);
   ~TaskPool();
 
@@ -59,14 +59,6 @@ class TaskPool {
   TaskPool& operator=(const TaskPool&) = delete;
 
   int threads() const { return threads_; }
-
-  // Runs body(begin, end) over chunk boundaries covering [0, n) exactly
-  // once. Boundaries are a pure function of (n, grain, threads); chunks may
-  // execute concurrently and in any order, so `body` must write only
-  // chunk-disjoint data. Blocks until every chunk finished; rethrows the
-  // lowest-index chunk failure.
-  void ParallelFor(std::size_t n, std::size_t grain,
-                   const std::function<void(std::size_t, std::size_t)>& body);
 
   // Tasks executed from a deque other than the runner's home slot since
   // construction. Observability only — asserting exact values would race

@@ -9,21 +9,14 @@
 
 namespace sncube {
 
-std::vector<ViewId> AffectedViews(const CubeResult& base,
-                                  const Relation& delta) {
-  std::vector<ViewId> affected;
-  if (delta.empty()) return affected;
-  affected.reserve(base.views.size());
-  for (const auto& [id, vr] : base.views) affected.push_back(id);
-  return affected;
-}
-
 CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
-                            const std::vector<ViewId>& affected, AggFn fn,
-                            DiskModel* disk, ExecStats* stats,
-                            PartialStrategy strategy) {
-  if (affected.empty()) return CubeResult{};
-  return SequentialCube(delta, schema, affected, fn, disk, stats, strategy);
+                            const CubeResult& base, AggFn fn, DiskModel* disk,
+                            ExecStats* stats, PartialStrategy strategy) {
+  if (delta.empty()) return CubeResult{};
+  std::vector<ViewId> views;
+  views.reserve(base.views.size());
+  for (const auto& [id, vr] : base.views) views.push_back(id);
+  return SequentialCube(delta, schema, views, fn, disk, stats, strategy);
 }
 
 Relation MergeAggregateByOrder(const Relation& a, const Relation& b,

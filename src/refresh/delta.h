@@ -6,9 +6,9 @@
 // (sum/min/max: agg(base ∪ delta) = combine(agg(base), agg(delta))), a
 // refresh never re-scans the base facts: it cubes the (small) delta with the
 // very same Section 3 machinery the initial build used — partial schedule
-// tree over exactly the affected views, Pipesort/hash-aggregate per edge —
-// and then merges the delta cube into the base cube view by view with one
-// linear merge pass per view.
+// tree over the base cube's views, Pipesort per edge — and then merges the
+// delta cube into the base cube view by view with one linear merge pass per
+// view.
 //
 // The merge is ORDER-PRESERVING: each merged view keeps the base view's sort
 // order (delta rows are re-sorted to it first), so a refreshed cube is
@@ -28,19 +28,14 @@
 
 namespace sncube {
 
-// The views of `base` an insert-only `delta` invalidates. Distributive
-// aggregates make every materialized view (auxiliaries included) sensitive
-// to any new fact, so this is all of base's views for a non-empty delta and
-// none for an empty one. Centralized anyway: finer pruning (e.g. per-view
-// delta-key coverage) slots in here without touching callers.
-std::vector<ViewId> AffectedViews(const CubeResult& base,
-                                  const Relation& delta);
-
-// Cubes the delta over exactly `affected`, reusing the Section 3 partial
-// build (BuildPartialTree + pipelined execution). Costs land on `disk` /
-// `stats` like any build.
+// Cubes the delta over every view of `base` (auxiliaries included), reusing
+// the Section 3 partial build (BuildPartialTree + pipelined execution).
+// Distributive aggregates make every materialized view sensitive to any new
+// fact, so no view can be skipped for a non-empty delta; an empty delta
+// yields an empty cube, which MergeDeltaCube passes through unchanged.
+// Costs land on `disk` / `stats` like any build.
 CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
-                            const std::vector<ViewId>& affected,
+                            const CubeResult& base,
                             AggFn fn = AggFn::kSum, DiskModel* disk = nullptr,
                             ExecStats* stats = nullptr,
                             PartialStrategy strategy =

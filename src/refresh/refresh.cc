@@ -37,11 +37,10 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
   const std::uint64_t epoch = shards_.serving_epoch() + 1;
 
   // ---- Compute (nothing durable, nothing serving) ----
-  const std::vector<ViewId> affected = AffectedViews(*current_, delta);
   std::shared_ptr<const CubeResult> next;
   {
     SNCUBE_TRACE_SPAN("refresh-delta-cube");
-    CubeResult delta_cube = ComputeDeltaCube(delta, schema_, affected,
+    CubeResult delta_cube = ComputeDeltaCube(delta, schema_, *current_,
                                              options_.fn, &disk_, nullptr,
                                              options_.strategy);
     SNCUBE_TRACE_SPAN("refresh-merge");
@@ -51,7 +50,7 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("refresh.delta_rows").Add(delta.size());
     options_.metrics->GetCounter("refresh.views_rebuilt")
-        .Add(affected.size());
+        .Add(delta.empty() ? 0 : current_->views.size());
     options_.metrics->GetCounter("refresh.merged_rows")
         .Add(next->TotalRows(/*selected_only=*/false));
   }

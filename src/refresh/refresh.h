@@ -3,7 +3,7 @@
 //
 // One Refresh(delta) call runs the full pipeline:
 //
-//   delta ── AffectedViews ── ComputeDeltaCube ── MergeDeltaCube ──▶ cube E
+//   delta ── ComputeDeltaCube ── MergeDeltaCube ───────────────────▶ cube E
 //                                                                     │
 //   SnapshotStore: write epoch_E/ views ── "prepare E" ───────────────┤
 //   ShardSet:      PrepareEpoch(E)  (hosted, NOT serving)             │

@@ -76,7 +76,7 @@ struct ServerOptions {
   // request in flight deterministically (e.g. to pin the
   // deadline_exceeded_in_flight path without timing races). Null in
   // production.
-  std::function<void(const Query&)> pre_execute_hook;
+  std::function<void(const Query&)> pre_execute_hook = nullptr;
 };
 
 enum class SubmitStatus : std::uint8_t {

@@ -98,7 +98,9 @@ TEST(ServeChaos, RandomServePlansAreDeterministicAndRoundTrip) {
       EXPECT_GE(k.shard, 0);
       EXPECT_LT(k.shard, 4);
       EXPECT_LT(k.from, 200u);
-      if (k.until != FaultPlan::kNoEnd) EXPECT_GT(k.until, k.from);
+      if (k.until != FaultPlan::kNoEnd) {
+        EXPECT_GT(k.until, k.from);
+      }
     }
     for (const auto& s : pa.shard_slows) {
       EXPECT_GE(s.factor, 1.5);

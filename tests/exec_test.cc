@@ -30,33 +30,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // TaskPool mechanics
 
-TEST(TaskPool, ParallelForCoversEveryIndexOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    exec::TaskPool pool(threads);
-    const std::size_t n = 10007;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(TaskPool, ParallelForEmptyAndTiny) {
-  exec::TaskPool pool(4);
-  int calls = 0;
-  pool.ParallelFor(0, 8, [&](std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<std::size_t> covered{0};
-  pool.ParallelFor(3, 1024, [&](std::size_t begin, std::size_t end) {
-    covered.fetch_add(end - begin);
-  });
-  EXPECT_EQ(covered.load(), 3u);
-}
-
 TEST(TaskPool, TaskGroupRunsEveryTask) {
   exec::TaskPool pool(4);
   std::vector<std::atomic<int>> hits(64);
@@ -92,15 +65,26 @@ TEST(TaskPool, TaskGroupRethrowsLowestSubmissionIndex) {
 TEST(TaskPool, NestedParallelismRunsInline) {
   exec::TaskPool pool(4);
   std::atomic<std::size_t> covered{0};
+  std::atomic<int> deferred_on_worker{0};
   EXPECT_FALSE(exec::TaskPool::OnWorkerThread());
-  pool.ParallelFor(64, 1, [&](std::size_t begin, std::size_t end) {
-    // A nested region must not deadlock or re-enter the deques; it runs
-    // serially on whichever context hit it.
-    pool.ParallelFor(end - begin, 1, [&](std::size_t b, std::size_t e) {
-      covered.fetch_add(e - b);
+  exec::TaskGroup outer(&pool);
+  for (int i = 0; i < 64; ++i) {
+    outer.Run([&] {
+      // A nested region must not deadlock or re-enter the deques; on a
+      // worker it runs serially inside Run itself.
+      exec::TaskGroup inner(&pool);
+      bool ran = false;
+      inner.Run([&] {
+        ran = true;
+        covered.fetch_add(1);
+      });
+      if (exec::TaskPool::OnWorkerThread() && !ran) deferred_on_worker++;
+      inner.Wait();
     });
-  });
+  }
+  outer.Wait();
   EXPECT_EQ(covered.load(), 64u);
+  EXPECT_EQ(deferred_on_worker.load(), 0);
 }
 
 TEST(TaskPool, CurrentPoolFollowsScope) {
@@ -277,18 +261,27 @@ RunCubeAt(int p, int threads_per_rank, const DatasetSpec& spec) {
 }
 
 TEST(ExecEndToEnd, CubeBytesIdenticalAcrossThreadCounts) {
-  const DatasetSpec spec = ExecSpec(8000);
-  const auto [serial_bytes, serial_time] = RunCubeAt(2, 1, spec);
-  for (int threads : {2, 4}) {
-    const auto [bytes, time] = RunCubeAt(2, threads, spec);
-    ASSERT_EQ(bytes.size(), serial_bytes.size()) << "W=" << threads;
-    for (const auto& [key, buf] : serial_bytes) {
-      ASSERT_EQ(bytes.at(key), buf)
-          << "W=" << threads << " rank=" << key.first
-          << " view mask=" << key.second;
+  // A uniform input and a Zipf-skewed one.
+  DatasetSpec skewed;
+  skewed.rows = 2500;
+  skewed.cardinalities = {24, 10, 6, 4};
+  skewed.alphas = {2.0, 1.0, 0.0, 0.0};
+  skewed.seed = 9100;
+  for (const DatasetSpec& spec : {ExecSpec(8000), skewed}) {
+    const auto [serial_bytes, serial_time] = RunCubeAt(2, 1, spec);
+    for (int threads : {2, 4}) {
+      const auto [bytes, time] = RunCubeAt(2, threads, spec);
+      ASSERT_EQ(bytes.size(), serial_bytes.size())
+          << "seed=" << spec.seed << " W=" << threads;
+      for (const auto& [key, buf] : serial_bytes) {
+        ASSERT_EQ(bytes.at(key), buf)
+            << "seed=" << spec.seed << " W=" << threads
+            << " rank=" << key.first << " view mask=" << key.second;
+      }
+      // Span charging: parallel regions charge work/W <= work, never more.
+      EXPECT_LE(time, serial_time + 1e-9)
+          << "seed=" << spec.seed << " W=" << threads;
     }
-    // Span charging: parallel regions charge work/W <= work, never more.
-    EXPECT_LE(time, serial_time + 1e-9) << "W=" << threads;
   }
 }
 

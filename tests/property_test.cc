@@ -111,78 +111,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Backend byte-identity: for every (--backend, --threads-per-rank) pair the
-// cube must equal the sort-backend single-thread baseline view-for-view,
-// byte-for-byte — the contract that makes the engine choice a pure
-// performance knob (DESIGN.md §13).
-
-struct BackendCase {
-  BackendMode backend;
-  int threads;
-};
-
-std::vector<CubeResult> BuildBackendShards(BackendMode backend, int threads) {
-  DatasetSpec spec;
-  spec.rows = 2500;
-  spec.cardinalities = {24, 10, 6, 4};
-  spec.alphas = {2.0, 1.0, 0.0, 0.0};  // skewed: hash and sort edges mix
-  spec.seed = 9100;
-  const Schema schema = spec.MakeSchema();
-  const auto selected = AllViews(4);
-
-  ParallelCubeOptions opts;
-  opts.backend = backend;
-
-  constexpr int kP = 2;
-  Cluster cluster(kP);
-  cluster.set_threads_per_rank(threads);
-  std::vector<CubeResult> shards(kP);
-  std::mutex mu;
-  cluster.Run([&](Comm& comm) {
-    const Relation raw = GenerateSlice(spec, kP, comm.rank());
-    CubeResult cube = BuildParallelCube(comm, raw, schema, selected, opts);
-    std::lock_guard<std::mutex> lock(mu);
-    shards[static_cast<std::size_t>(comm.rank())] = std::move(cube);
-  });
-  return shards;
-}
-
-class BackendIdentityProperty : public ::testing::TestWithParam<BackendCase> {
-};
-
-TEST_P(BackendIdentityProperty, BytesMatchSortSerialBaseline) {
-  const BackendCase c = GetParam();
-  const auto base = BuildBackendShards(BackendMode::kSort, 1);
-  const auto got = BuildBackendShards(c.backend, c.threads);
-  ASSERT_EQ(got.size(), base.size());
-  for (std::size_t r = 0; r < base.size(); ++r) {
-    ASSERT_EQ(got[r].views.size(), base[r].views.size()) << "rank " << r;
-    for (const auto& [v, vr] : base[r].views) {
-      const ViewResult& gvr = got[r].views.at(v);
-      EXPECT_EQ(gvr.order, vr.order)
-          << "rank " << r << " view mask=" << v.mask();
-      EXPECT_EQ(gvr.rel, vr.rel) << "rank " << r << " view mask=" << v.mask();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, BackendIdentityProperty,
-    ::testing::Values(BackendCase{BackendMode::kSort, 1},
-                      BackendCase{BackendMode::kSort, 2},
-                      BackendCase{BackendMode::kSort, 4},
-                      BackendCase{BackendMode::kHash, 1},
-                      BackendCase{BackendMode::kHash, 2},
-                      BackendCase{BackendMode::kHash, 4},
-                      BackendCase{BackendMode::kAuto, 1},
-                      BackendCase{BackendMode::kAuto, 2},
-                      BackendCase{BackendMode::kAuto, 4}),
-    [](const ::testing::TestParamInfo<BackendCase>& info) {
-      return std::string(BackendModeName(info.param.backend)) + "_t" +
-             std::to_string(info.param.threads);
-    });
-
-// ---------------------------------------------------------------------------
 // Dimensionality sweep: the property holds as the lattice grows.
 
 class DimsProperty : public ::testing::TestWithParam<int> {};

@@ -135,8 +135,7 @@ TEST(DeltaMerge, RefreshedCubeEqualsFullRebuildOnEveryView) {
   const CubeResult base = SequentialCube(base_rel, schema, AllViews(schema.dims()));
 
   const CubeResult merged = MergeDeltaCube(
-      base, ComputeDeltaCube(delta_rel, schema,
-                             AffectedViews(base, delta_rel)));
+      base, ComputeDeltaCube(delta_rel, schema, base));
 
   Relation both = base_rel;
   both.Concat(Relation(delta_rel));
@@ -161,9 +160,9 @@ TEST(DeltaMerge, EmptyDeltaIsByteIdenticalPassThrough) {
   const CubeResult base =
       SequentialCube(GenerateSlice(spec, 1, 0), schema, AllViews(schema.dims()));
   const Relation empty_delta(schema.dims());
-  EXPECT_TRUE(AffectedViews(base, empty_delta).empty());
+  EXPECT_TRUE(ComputeDeltaCube(empty_delta, schema, base).views.empty());
   const CubeResult merged = MergeDeltaCube(
-      base, ComputeDeltaCube(empty_delta, schema, {}));
+      base, ComputeDeltaCube(empty_delta, schema, base));
   ExpectCubesIdentical(merged, base, "empty-delta merge");
 }
 
@@ -369,7 +368,7 @@ struct RefreshRig {
                          AllViews(schema.dims()));
     delta = GenerateSlice(DeltaSpec(), 1, 0);
     post = MergeDeltaCube(
-        pre, ComputeDeltaCube(delta, schema, AffectedViews(pre, delta)));
+        pre, ComputeDeltaCube(delta, schema, pre));
   }
 };
 
@@ -480,6 +479,12 @@ TEST(RefreshCrashSafety, CompletedRefreshInstallsDurableNewEpoch) {
   EXPECT_EQ(coordinator.Refresh(rig.delta), 2u);
   EXPECT_EQ(set.serving_epoch(), 2u);
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{1, 2}));
+
+  // An empty delta still installs a new epoch, holding the same cube.
+  const CubeResult before = *coordinator.current();
+  EXPECT_EQ(coordinator.Refresh(Relation(rig.schema.dims())), 3u);
+  EXPECT_EQ(set.serving_epoch(), 3u);
+  ExpectCubesIdentical(*coordinator.current(), before, "empty delta");
   set.Shutdown();
   std::filesystem::remove_all(dir);
 }

@@ -34,8 +34,7 @@ Enforces invariants no off-the-shelf checker knows about, as compile-time
                    randomness derives from common/rng.h seeded streams so
                    runs, tests, and fault plans replay bit-for-bit.
 
-  raw-thread       src/core, src/io, src/exec, src/hashagg must not spawn
-                   raw threads
+  raw-thread       src/core, src/io, src/exec must not spawn raw threads
                    (std::thread / std::jthread / std::async). Intra-rank
                    parallelism goes through the exec::TaskPool runtime so
                    span accounting, determinism (stable chunk boundaries),
@@ -135,7 +134,7 @@ RULES = [
     },
     {
         "id": "raw-thread",
-        "paths": ("src/core/", "src/io/", "src/exec/", "src/hashagg/"),
+        "paths": ("src/core/", "src/io/", "src/exec/"),
         # The pool implementation is where the real threads are supposed to
         # live — all other intra-rank parallelism rides on exec::TaskPool.
         # (The header declares the worker vector; the .cc spawns them.)
@@ -144,7 +143,7 @@ RULES = [
             r"\bstd::thread\b|\bstd::jthread\b|\bstd::async\b"
         ),
         "message": "raw thread outside the exec runtime; use exec::TaskPool "
-                   "(ParallelFor / TaskGroup) so span charging, determinism, "
+                   "(TaskGroup) so span charging, determinism, "
                    "and the locking discipline hold",
     },
     {

@@ -38,7 +38,6 @@
 #include "chaos/explorer.h"
 #include "chaos/refresh_chaos.h"
 #include "chaos/serve_chaos.h"
-#include "common/env.h"
 #include "common/timer.h"
 #include "core/parallel_cube.h"
 #include "data/generator.h"
@@ -97,10 +96,6 @@ constexpr const char* kHelpText =
     "  --procs P            simulated processors (default 1 = sequential)\n"
     "  --threads-per-rank W intra-rank worker threads per simulated processor\n"
     "                       (default 1 = serial; cube bytes identical for any W)\n"
-    "  --backend MODE       view-computation engine for schedule-tree sort\n"
-    "                       edges: sort (default), hash, or auto = cost-choose\n"
-    "                       per edge; cube bytes identical for every MODE\n"
-    "                       (env fallback: SNCUBE_BACKEND)\n"
     "  --views N            build only the N greedy-selected views\n"
     "  --fraction F         build the greedy-selected fraction F of views\n"
     "  --gamma G            merge threshold gamma (Merge-Partitions case 3)\n"
@@ -314,14 +309,6 @@ int CmdBuild(const Args& args) {
       std::atoi(args.Get("threads-per-rank").value_or("1").c_str());
   if (threads_per_rank < 1) Usage("--threads-per-rank must be >= 1");
   ParallelCubeOptions opts;
-  {
-    // Flag wins over the SNCUBE_BACKEND env knob; both default to sort.
-    const std::string mode =
-        args.Get("backend").value_or(EnvStr("SNCUBE_BACKEND", "sort"));
-    const auto parsed = ParseBackendMode(mode);
-    if (!parsed) Usage("--backend/SNCUBE_BACKEND must be sort, hash or auto");
-    opts.backend = *parsed;
-  }
   if (const auto gamma = args.Get("gamma")) opts.gamma_merge = std::stod(*gamma);
   if (args.Has("local-trees")) {
     opts.tree_mode = TreeMode::kLocal;
@@ -354,10 +341,7 @@ int CmdBuild(const Args& args) {
   const std::string out = args.Require("out");
   WallTimer timer;
   std::uint64_t rows_total = 0;
-  // The sequential fast path only implements the sort engine; hash/auto
-  // builds run as a 1-rank cluster, which produces identical bytes.
-  if (p == 1 && !traced && threads_per_rank == 1 &&
-      opts.backend == BackendMode::kSort) {
+  if (p == 1 && !traced && threads_per_rank == 1) {
     const CubeResult cube = SequentialCube(raw, schema, selected);
     ViewStore store(out);
     // Drop auxiliaries when persisting.
@@ -552,9 +536,8 @@ int CmdRefresh(const Args& args) {
   }
 
   WallTimer timer;
-  const std::vector<ViewId> affected = AffectedViews(base, delta);
   const CubeResult merged =
-      MergeDeltaCube(base, ComputeDeltaCube(delta, schema, affected));
+      MergeDeltaCube(base, ComputeDeltaCube(delta, schema, base));
 
   // Optionally commit the refreshed cube into a crash-safe snapshot store
   // as the epoch after the newest committed one (1 for a fresh store).
@@ -571,7 +554,7 @@ int CmdRefresh(const Args& args) {
   std::printf("{\"delta_rows\":%zu,\"views_refreshed\":%zu,"
               "\"merged_rows\":%llu,\"snapshot_epoch\":%llu,"
               "\"wall_s\":%.4f}\n",
-              delta.size(), affected.size(),
+              delta.size(), delta.empty() ? 0 : base.views.size(),
               static_cast<unsigned long long>(merged.TotalRows()),
               static_cast<unsigned long long>(epoch), timer.Seconds());
   return 0;
