@@ -31,6 +31,14 @@ class SncubeCorruptionError : public SncubeError {
       : SncubeError(what) {}
 };
 
+// Input data that does not mean exactly one relation row: a non-numeric,
+// empty, negative or out-of-range cell, or a row with the wrong number of
+// cells. The message names the line and column; never retryable.
+class SncubeInputError : public SncubeError {
+ public:
+  explicit SncubeInputError(const std::string& what) : SncubeError(what) {}
+};
+
 // A disk or file operation failed and is not expected to succeed on retry
 // (missing file, short write after retries, permission).
 class SncubeIoError : public SncubeError {

@@ -6,9 +6,7 @@
 #include <map>
 
 #include "common/status.h"
-#include "core/key_tuple.h"
 #include "core/sample_sort.h"
-#include "core/sampling_array.h"
 #include "exec/parallel_algo.h"
 #include "net/wire.h"
 #include "obs/trace.h"
@@ -57,7 +55,7 @@ std::vector<OwnRange> OwnershipRanges(const std::vector<Boundary>& bounds) {
       range.hi = bounds[r].last;
       running = bounds[r].last;
       have_running = true;
-    } else if (CompareTuple(bounds[r].last, running) > 0) {
+    } else if (bounds[r].last > running) {
       range.owns = true;
       range.has_lo = true;
       range.lo = running;
@@ -68,12 +66,13 @@ std::vector<OwnRange> OwnershipRanges(const std::vector<Boundary>& bounds) {
   return ranges;
 }
 
-std::uint64_t EstimateInRange(const SamplingArray& sample,
+std::uint64_t EstimateInRange(const Relation& sorted,
+                              std::span<const int> cols, std::size_t capacity,
                               const OwnRange& range) {
   if (!range.owns) return 0;
-  const std::uint64_t hi = sample.EstimateRowsLessEq(range.hi);
+  const std::uint64_t hi = SampledRowsLessEq(sorted, cols, range.hi, capacity);
   const std::uint64_t lo =
-      range.has_lo ? sample.EstimateRowsLessEq(range.lo) : 0;
+      range.has_lo ? SampledRowsLessEq(sorted, cols, range.lo, capacity) : 0;
   return hi > lo ? hi - lo : 0;
 }
 
@@ -85,9 +84,9 @@ int PrefixOwner(const std::vector<Boundary>& bounds, int rank) {
   int owner = rank;
   for (int r = rank - 1; r >= 0; --r) {
     if (!bounds[r].has_rows) continue;
-    if (CompareTuple(bounds[r].last, k) != 0) break;
+    if (bounds[r].last != k) break;
     owner = r;
-    if (CompareTuple(bounds[r].first, k) != 0) break;  // group starts at r
+    if (bounds[r].first != k) break;  // group starts at r
   }
   return owner;
 }
@@ -103,7 +102,54 @@ struct ViewPlan {
   std::size_t kept_end = 0;
 };
 
+// Fills every plan's `bounds` with each rank's first and last key of the
+// view, read at the plan's `cols` (one all-gather). Collective.
+void GatherBoundaries(Comm& comm, const CubeResult& cube,
+                      const std::vector<ViewPlan*>& plans) {
+  ByteBuffer msg;
+  for (const ViewPlan* plan : plans) {
+    const Relation& rel = cube.views.at(plan->id).rel;
+    WirePut(msg, static_cast<std::uint8_t>(rel.empty() ? 0 : 1));
+    if (!rel.empty()) {
+      WirePutVector(msg, TupleAt(rel, 0, plan->cols));
+      WirePutVector(msg, TupleAt(rel, rel.size() - 1, plan->cols));
+    }
+  }
+  const auto all = comm.AllGather(std::move(msg));
+  std::vector<WireReader> readers(all.begin(), all.end());
+  for (ViewPlan* plan : plans) {
+    plan->bounds.assign(readers.size(), Boundary{});
+    for (std::size_t r = 0; r < readers.size(); ++r) {
+      Boundary& bound = plan->bounds[r];
+      bound.has_rows = readers[r].Get<std::uint8_t>() != 0;
+      if (bound.has_rows) {
+        bound.first = readers[r].GetVector<Key>();
+        bound.last = readers[r].GetVector<Key>();
+      }
+    }
+  }
+}
+
 }  // namespace
+
+std::size_t SampleStride(std::size_t rows, std::size_t capacity) {
+  SNCUBE_CHECK(capacity >= 1);
+  std::size_t stride = 1;
+  while ((rows + stride - 1) / stride > capacity) stride *= 2;
+  return stride;
+}
+
+std::size_t SampledRowsLessEq(const Relation& sorted,
+                              std::span<const int> cols,
+                              std::span<const Key> key, std::size_t capacity) {
+  const std::size_t n = sorted.size();
+  const std::size_t stride = SampleStride(n, capacity);
+  // The view is sorted, so sample row k·stride is <= key exactly when it
+  // lies before the first row > key: one search of the view counts them.
+  const std::size_t samples =
+      (UpperBoundRow(sorted, 0, n, cols, key) + stride - 1) / stride;
+  return std::min(n, samples * stride);
+}
 
 void MergePartitions(Comm& comm, CubeResult& cube,
                      const std::vector<int>& root_order,
@@ -148,9 +194,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
       WirePutVector(msg, std::vector<std::uint8_t>(order.begin(), order.end()));
     }
     const auto all = comm.AllGather(std::move(msg));
-    std::vector<WireReader> readers;
-    readers.reserve(all.size());
-    for (const auto& buf : all) readers.emplace_back(buf);
+    std::vector<WireReader> readers(all.begin(), all.end());
     for (ViewId id : ids) {
       std::vector<std::uint8_t> rank0;
       bool differs = false;
@@ -184,38 +228,17 @@ void MergePartitions(Comm& comm, CubeResult& cube,
   // ---- Phase B: boundaries for every view (one all-gather) ---------------
   mstep.Switch("boundaries");
   std::vector<ViewPlan> plans(ids.size());
-  {
-    ByteBuffer msg;
-    for (std::size_t v = 0; v < ids.size(); ++v) {
-      ViewPlan& plan = plans[v];
-      plan.id = ids[v];
-      const ViewResult& vr = cube.views.at(ids[v]);
-      plan.cols = ColumnsOf(ids[v], vr.order);
-      WirePut(msg, static_cast<std::uint8_t>(vr.rel.empty() ? 0 : 1));
-      if (!vr.rel.empty()) {
-        WirePutVector(msg, TupleAt(vr.rel, 0, plan.cols));
-        WirePutVector(msg, TupleAt(vr.rel, vr.rel.size() - 1, plan.cols));
-      }
-    }
-    const auto all = comm.AllGather(std::move(msg));
-    std::vector<WireReader> readers;
-    readers.reserve(all.size());
-    for (const auto& buf : all) readers.emplace_back(buf);
-    for (auto& plan : plans) {
-      plan.bounds.resize(p);
-      for (int r = 0; r < p; ++r) {
-        plan.bounds[r].has_rows = readers[r].Get<std::uint8_t>() != 0;
-        if (plan.bounds[r].has_rows) {
-          plan.bounds[r].first = readers[r].GetVector<Key>();
-          plan.bounds[r].last = readers[r].GetVector<Key>();
-        }
-      }
-    }
+  std::vector<ViewPlan*> every_plan;
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    plans[v].id = ids[v];
+    plans[v].cols = ColumnsOf(ids[v], cube.views.at(ids[v]).order);
+    every_plan.push_back(&plans[v]);
   }
+  GatherBoundaries(comm, cube, every_plan);
 
   // ---- Classification + |v'_j| estimation (one all-gather) ---------------
   // Prefix test first; for non-prefix views every rank estimates its
-  // contribution to every owner from its sampling array (Section 2.4), and
+  // contribution to every owner from its view's sample (Section 2.4), and
   // one all-gather of those estimates lets all ranks compute the identical
   // imbalance the Case 2/3 decision needs.
   {
@@ -232,15 +255,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
       }
       plan.kase = ViewPlan::kCase2;  // provisional; refined below
       plan.ranges = OwnershipRanges(plan.bounds);
-      // The sampling array costs nothing at this point: Section 2.4 builds
-      // it on the fly while the view is first written in Step 2c, so no
-      // extra pass over the view is charged here.
-      SamplingArray sample(
-          static_cast<int>(plan.cols.size()),
-          static_cast<std::size_t>(std::max(2, opts.sample_capacity_factor * p)));
-      for (std::size_t r = 0; r < vr.rel.size(); ++r) {
-        sample.Add(TupleAt(vr.rel, r, plan.cols));
-      }
+      const auto capacity = static_cast<std::size_t>(kSampleCapacityFactor * p);
       std::vector<std::uint64_t> contrib(p, 0);
       for (int r = 0; r < p; ++r) {
         // The paper's v'_j is "vj PLUS all the overlap received": a rank's
@@ -248,14 +263,13 @@ void MergePartitions(Comm& comm, CubeResult& cube,
         // so the statistic measures how lopsided the overlap routing is.
         contrib[r] = (r == comm.rank())
                          ? vr.rel.size()
-                         : EstimateInRange(sample, plan.ranges[r]);
+                         : EstimateInRange(vr.rel, plan.cols, capacity,
+                                           plan.ranges[r]);
       }
       WirePutVector(msg, contrib);
     }
     const auto all = comm.AllGather(std::move(msg));
-    std::vector<WireReader> readers;
-    readers.reserve(all.size());
-    for (const auto& buf : all) readers.emplace_back(buf);
+    std::vector<WireReader> readers(all.begin(), all.end());
     for (auto& plan : plans) {
       if (plan.kase == ViewPlan::kCase1) continue;
       std::vector<std::uint64_t> est(p, 0);
@@ -299,8 +313,8 @@ void MergePartitions(Comm& comm, CubeResult& cube,
         std::uint64_t shipped_bytes = 0;
         for (int r = 0; r < p; ++r) {
           if (!plan.ranges[r].owns) continue;
-          const std::size_t end = std::max(
-              begin, UpperBoundRow(vr.rel, plan.cols, plan.ranges[r].hi));
+          const std::size_t end = UpperBoundRow(vr.rel, begin, vr.rel.size(),
+                                                plan.cols, plan.ranges[r].hi);
           if (r == comm.rank()) {
             plan.kept_begin = begin;
             plan.kept_end = end;
@@ -361,35 +375,15 @@ void MergePartitions(Comm& comm, CubeResult& cube,
           continue;
         }
         // Received overlap rows all interleave the TAIL of the kept slice
-        // (everything >= the smallest received key); the untouched head is
-        // never read or rewritten.
+        // (everything >= the smallest received key, i.e. from the least of
+        // the runs' first-key lower bounds); the untouched head is never
+        // read or rewritten.
         std::vector<Relation>& runs = it->second;
-        KeyTuple min_key;
+        std::size_t split = kept.size();
         for (const Relation& run : runs) {
           if (run.empty()) continue;
-          KeyTuple k = TupleAt(run, 0, plan.cols);
-          if (min_key.empty() || CompareTuple(k, min_key) < 0) {
-            min_key = std::move(k);
-          }
-        }
-        if (min_key.empty()) {
-          vr.rel = std::move(kept);
-          continue;
-        }
-        // Split the kept slice at the first row >= min_key.
-        std::size_t split = kept.size();
-        {
-          std::size_t lo = 0;
-          std::size_t hi = kept.size();
-          while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (CompareTuple(TupleAt(kept, mid, plan.cols), min_key) < 0) {
-              lo = mid + 1;
-            } else {
-              hi = mid;
-            }
-          }
-          split = lo;
+          split = LowerBoundRow(kept, 0, split, plan.cols,
+                                TupleAt(run, 0, plan.cols));
         }
         Relation tail(kept.width());
         tail.Reserve(kept.size() - split);
@@ -449,30 +443,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
     if (!case3.empty()) {
       // Refresh boundaries (one all-gather), then one h-relation of
       // boundary rows.
-      ByteBuffer msg;
-      for (ViewPlan* plan : case3) {
-        const ViewResult& vr = cube.views.at(plan->id);
-        WirePut(msg, static_cast<std::uint8_t>(vr.rel.empty() ? 0 : 1));
-        if (!vr.rel.empty()) {
-          WirePutVector(msg, TupleAt(vr.rel, 0, plan->cols));
-          WirePutVector(msg, TupleAt(vr.rel, vr.rel.size() - 1, plan->cols));
-        }
-      }
-      const auto all = comm.AllGather(std::move(msg));
-      std::vector<WireReader> readers;
-      readers.reserve(all.size());
-      for (const auto& buf : all) readers.emplace_back(buf);
-      for (ViewPlan* plan : case3) {
-        plan->bounds.assign(p, Boundary{});
-        for (int r = 0; r < p; ++r) {
-          plan->bounds[r].has_rows = readers[r].Get<std::uint8_t>() != 0;
-          if (plan->bounds[r].has_rows) {
-            plan->bounds[r].first = readers[r].GetVector<Key>();
-            plan->bounds[r].last = readers[r].GetVector<Key>();
-          }
-        }
-      }
-
+      GatherBoundaries(comm, cube, case3);
       std::vector<ByteBuffer> send(p);
       for (ViewPlan* plan : case3) {
         ViewResult& vr = cube.views.at(plan->id);

@@ -17,6 +17,9 @@
 namespace sncube {
 namespace {
 
+// γ for the data-partitioning sample sort of Step 1b (paper: 1%).
+constexpr double kGammaPartition = 0.01;
+
 void ChargeExecStats(Comm& comm, const ExecStats& es) {
   // Scans (EmitChain's group-carry pass) are inherently serial; the
   // pipeline sorts behind sort_cost_units ran on the rank's exec pool, so
@@ -157,7 +160,7 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     } else {
       SampleSortStats ss;
       root_sorted = AdaptiveSampleSort(comm, std::move(root_local), root_cols,
-                                       opts.gamma_partition, &ss);
+                                       kGammaPartition, &ss);
       if (stats != nullptr && ss.shifted) stats->sample_sort_shifts += 1;
     }
     // Step 1c: recompute the root for the received range (local dedup).
@@ -203,7 +206,6 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     MergeOptions merge_opts;
     merge_opts.fn = opts.fn;
     merge_opts.gamma = opts.gamma_merge;
-    merge_opts.sample_capacity_factor = opts.sample_capacity_factor;
     merge_opts.force_case3 = opts.force_case3;
     MergeStats merge_stats;
     MergePartitions(comm, cube, root_order, merge_opts, &merge_stats);

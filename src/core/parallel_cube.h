@@ -39,14 +39,11 @@ enum class EstimatorKind {
 
 struct ParallelCubeOptions {
   AggFn fn = AggFn::kSum;
-  // γ for the data-partitioning sample sort of Step 1b (paper: 1%).
-  double gamma_partition = 0.01;
   // γ for Merge–Partitions Case 2/3 and its internal re-sorts (paper: 3%).
   double gamma_merge = 0.03;
   TreeMode tree_mode = TreeMode::kGlobal;
   EstimatorKind estimator = EstimatorKind::kAnalytic;
   PartialStrategy partial_strategy = PartialStrategy::kPrunedPipesort;
-  int sample_capacity_factor = 100;
   bool force_case3 = false;  // ablation: disable the Case-2 overlap path
   // Checkpoint/restart (see core/checkpoint.h). When `checkpoint.dir` is
   // set, every rank persists its merged shards after each completed

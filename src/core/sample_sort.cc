@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "common/status.h"
-#include "core/key_tuple.h"
 #include "exec/parallel_algo.h"
 #include "io/external_sort.h"
 #include "net/wire.h"
@@ -88,8 +87,7 @@ Relation AdaptiveSampleSort(Comm& comm, Relation local,
       const std::size_t idx =
           (sorted.size() * static_cast<std::size_t>(j)) /
           static_cast<std::size_t>(p);
-      const KeyTuple t = TupleAt(sorted, idx, sort_cols);
-      flat.insert(flat.end(), t.begin(), t.end());
+      for (int c : sort_cols) flat.push_back(sorted.key(idx, c));
       ++count;
     }
     WirePut(pivot_msg, count);
@@ -151,8 +149,8 @@ Relation AdaptiveSampleSort(Comm& comm, Relation local,
     for (int k = 0; k < p; ++k) {
       std::size_t end;
       if (k < static_cast<int>(global_pivots.size())) {
-        end = UpperBoundRow(sorted, sort_cols, global_pivots[k]);
-        end = std::max(end, begin);
+        end = UpperBoundRow(sorted, begin, sorted.size(), sort_cols,
+                            global_pivots[k]);
       } else {
         end = sorted.size();
       }

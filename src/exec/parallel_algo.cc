@@ -20,30 +20,13 @@ bool UseSerial(TaskPool* pool, std::size_t rows) {
          TaskPool::OnWorkerThread();
 }
 
-// Comparator over permutation entries: lexicographic in `cols`, no
-// tie-break (stability comes from stable_sort / left-first merges).
-struct PermLess {
-  const Key* keys;
-  std::size_t width;
-  std::span<const int> cols;
-
-  bool operator()(std::uint32_t a, std::uint32_t b) const {
-    const Key* ra = keys + static_cast<std::size_t>(a) * width;
-    const Key* rb = keys + static_cast<std::size_t>(b) * width;
-    for (int c : cols) {
-      if (ra[c] != rb[c]) return ra[c] < rb[c];
-    }
-    return false;
-  }
-};
-
 // Schedules the stable merge of src[a0,a1) and src[a1,b1) into dst[a0,b1)
 // as up to `segments` key-aligned tasks on `group`. Each cut key k sends
 // ALL entries with keys <= k (from both runs, A's equal run before B's) to
 // the left of the cut, so concatenating the segment merges reproduces the
 // global stable merge exactly.
 void MergePairTasks(const std::vector<std::uint32_t>& src, std::size_t a0,
-                    std::size_t a1, std::size_t b1, const PermLess& less,
+                    std::size_t a1, std::size_t b1, const RowLess& less,
                     std::vector<std::uint32_t>& dst, std::size_t segments,
                     TaskGroup& group) {
   const std::size_t len_a = a1 - a0;
@@ -96,22 +79,6 @@ void MergePairTasks(const std::vector<std::uint32_t>& src, std::size_t a0,
   }
 }
 
-// First row in rel[lo,hi) whose key (restricted to `cols`) exceeds
-// pivot_rel's pivot_row.
-std::size_t UpperBoundRows(const Relation& rel, std::size_t lo, std::size_t hi,
-                           std::span<const int> cols, const Relation& pivot_rel,
-                           std::size_t pivot_row) {
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (CompareRows(rel, mid, cols, pivot_rel, pivot_row, cols) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 // Serial stable two-run merge (ties take `a` first), appended to `out`.
 void MergeRowsInto(const Relation& a, std::size_t ab, std::size_t ae,
                    const Relation& b, std::size_t bb, std::size_t be,
@@ -148,8 +115,9 @@ Relation MergeTwoRuns(const Relation& a, const Relation& b,
       bcut.push_back(bcut.back());
       continue;
     }
-    acut.push_back(UpperBoundRows(a, ai, a.size(), cols, a, ai));
-    bcut.push_back(UpperBoundRows(b, bcut.back(), b.size(), cols, a, ai));
+    const KeyTuple pivot = TupleAt(a, ai, cols);
+    acut.push_back(UpperBoundRow(a, ai, a.size(), cols, pivot));
+    bcut.push_back(UpperBoundRow(b, bcut.back(), b.size(), cols, pivot));
   }
   acut.push_back(a.size());
   bcut.push_back(b.size());
@@ -184,8 +152,7 @@ std::vector<std::uint32_t> ParallelSortedPermutation(const Relation& rel,
   const std::size_t contexts = static_cast<std::size_t>(pool->threads());
   std::vector<std::uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0u);
-  const PermLess less{rel.raw_keys(), static_cast<std::size_t>(rel.width()),
-                      cols};
+  const RowLess less(rel, cols);
 
   // Chunked stable sorts: boundaries depend only on (n, threads).
   std::vector<std::size_t> runs;
@@ -324,23 +291,6 @@ Relation MergeSortedRunsAuto(const std::vector<Relation>& runs,
     return MergeSortedRuns(runs, cols);
   }
   return ParallelMergeSortedRuns(runs, cols, pool);
-}
-
-double GreedyMakespan(std::span<const double> chunk_costs, int workers) {
-  if (workers <= 1) {
-    double total = 0;
-    for (double c : chunk_costs) total += c;
-    return total;
-  }
-  std::vector<double> load(static_cast<std::size_t>(workers), 0.0);
-  for (double c : chunk_costs) {
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < load.size(); ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    load[best] += c;
-  }
-  return *std::max_element(load.begin(), load.end());
 }
 
 }  // namespace sncube::exec

@@ -30,9 +30,4 @@ Relation ExternalSort(const Relation& input, std::span<const int> cols,
                       DiskModel& disk, RunStore* store = nullptr,
                       ExternalSortStats* stats = nullptr);
 
-// Charges the block transfers of a linear scan of `bytes` (read only).
-inline void ChargeLinearScan(DiskModel& disk, std::size_t bytes) {
-  disk.ChargeRead(bytes);
-}
-
 }  // namespace sncube

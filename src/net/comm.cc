@@ -75,11 +75,8 @@ void Comm::ChargeSortRecords(std::uint64_t n) {
 void Comm::ChargeParallelCpu(double work_seconds) {
   // Brent bound span; division by 1.0 is exact, so with one thread this
   // charges bit-identical seconds to ChargeCpu(work_seconds).
-  ChargeParallelCpu(work_seconds,
-                    work_seconds / static_cast<double>(threads_per_rank_));
-}
-
-void Comm::ChargeParallelCpu(double work_seconds, double span_seconds) {
+  const double span_seconds =
+      work_seconds / static_cast<double>(threads_per_rank_);
   // Work/span accounting only once a pool actually exists: a serial run's
   // phase stats (and every table derived from them) stay exactly as they
   // were before the exec runtime.
@@ -193,7 +190,7 @@ std::vector<ByteBuffer> Comm::AllToAllv(std::vector<ByteBuffer> send) {
     // sender) raises SncubeCorruptionError here, never a wrong payload.
     if (src != rank_ && !recv[src].empty()) VerifyAndStripFrame(recv[src]);
   }
-  ArriveAndCheck();  // C: board reusable
+  cluster_.shared_->barrier.arrive_and_wait();  // C: board reusable (last)
   return recv;
 }
 
@@ -247,7 +244,7 @@ ByteBuffer Comm::Broadcast(int root, ByteBuffer msg) {
     board[root][rank_].clear();
     if (!result.empty()) VerifyAndStripFrame(result);
   }
-  ArriveAndCheck();  // C
+  cluster_.shared_->barrier.arrive_and_wait();  // C (last)
   return result;
 }
 
@@ -310,7 +307,7 @@ void Comm::Barrier() {
   ps.net_s += t_new - local_time_;
   local_time_ = t_new;
   TraceComm(0, 0);
-  ArriveAndCheck();  // B: times consumed
+  cluster_.shared_->barrier.arrive_and_wait();  // B: times consumed (last)
 }
 
 }  // namespace sncube

@@ -32,8 +32,9 @@ struct FailureCause {
 // Failure protocol: a rank whose program throws records itself here (first
 // failure wins) and withdraws from the barrier, which releases any ranks
 // blocked in a collective; those ranks observe the abort flag right after
-// every barrier crossing and throw ClusterAbortedError instead of running on
-// into mismatched supersteps. A Shared that witnessed a failure is discarded
+// every barrier crossing but a collective's last (see Comm::ArriveAndCheck)
+// and throw ClusterAbortedError instead of running on into mismatched
+// supersteps. A Shared that witnessed a failure is discarded
 // and rebuilt by Cluster::Run, so the cluster stays reusable.
 struct Cluster::Shared {
   explicit Shared(int p) : barrier(p), board(p, std::vector<ByteBuffer>(p)),

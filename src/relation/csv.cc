@@ -1,12 +1,41 @@
 #include "relation/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
+#include <ranges>
+#include <string_view>
 
 #include "common/status.h"
 
 namespace sncube {
+namespace {
+
+[[noreturn]] void Reject(std::size_t line, std::size_t column,
+                         const std::string& problem) {
+  throw SncubeInputError("CSV line " + std::to_string(line) + ", column " +
+                         std::to_string(column) + ": " + problem);
+}
+
+// The whole of `cell` as a T. from_chars takes no sign on unsigned types and
+// no blanks, and reports values outside T's range.
+template <typename T>
+T ParseCell(std::string_view cell, std::size_t line, std::size_t column) {
+  T value{};
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    Reject(line, column,
+           "\"" + std::string(cell) + "\" is not an integer in [" +
+               std::to_string(std::numeric_limits<T>::min()) + ", " +
+               std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return value;
+}
+
+}  // namespace
 
 void WriteCsv(std::ostream& os, const Relation& rel,
               const std::vector<std::string>& names,
@@ -22,30 +51,29 @@ void WriteCsv(std::ostream& os, const Relation& rel,
 
 Relation ReadCsv(std::istream& is) {
   std::string line;
-  SNCUBE_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                   "CSV missing header");
-  int columns = 1;
-  for (char c : line) {
-    if (c == ',') ++columns;
-  }
-  SNCUBE_CHECK_MSG(columns >= 1, "CSV header has no columns");
-  const int width = columns - 1;
-
-  Relation rel(width);
-  std::vector<Key> keys(static_cast<std::size_t>(width));
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string cell;
-    for (int c = 0; c < width; ++c) {
-      SNCUBE_CHECK_MSG(static_cast<bool>(std::getline(ls, cell, ',')),
-                       "CSV row too short");
-      keys[static_cast<std::size_t>(c)] =
-          static_cast<Key>(std::stoul(cell));
+  if (!std::getline(is, line)) Reject(1, 1, "missing header");
+  const auto cells_per_row =
+      static_cast<std::size_t>(std::ranges::count(line, ',')) + 1;
+  Relation rel(static_cast<int>(cells_per_row) - 1);
+  std::vector<Key> keys(cells_per_row - 1);
+  std::vector<std::string_view> cells;
+  for (std::size_t line_no = 2; std::getline(is, line); ++line_no) {
+    std::string_view row(line);
+    if (row.ends_with('\r')) row.remove_suffix(1);
+    if (row.empty()) continue;
+    cells.clear();
+    for (const auto cell : std::views::split(row, ',')) {
+      cells.emplace_back(cell.begin(), cell.end());
     }
-    SNCUBE_CHECK_MSG(static_cast<bool>(std::getline(ls, cell, ',')),
-                     "CSV row missing measure");
-    rel.Append(keys, static_cast<Measure>(std::stoll(cell)));
+    if (cells.size() != cells_per_row) {
+      Reject(line_no, std::min(cells.size(), cells_per_row) + 1,
+             std::to_string(cells.size()) + " cells, expected " +
+                 std::to_string(cells_per_row));
+    }
+    for (std::size_t c = 0; c < keys.size(); ++c) {
+      keys[c] = ParseCell<Key>(cells[c], line_no, c + 1);
+    }
+    rel.Append(keys, ParseCell<Measure>(cells.back(), line_no, cells_per_row));
   }
   return rel;
 }

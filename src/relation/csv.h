@@ -19,6 +19,9 @@ void WriteCsv(std::ostream& os, const Relation& rel,
 
 // Reads CSV produced by WriteCsv (header skipped, last column = measure).
 // Returns a relation whose width is the header's column count minus one.
+// Each non-empty row must hold exactly that many cells, each one whole
+// decimal integer: keys in [0, 2^32), the measure an int64 ('\r' line ends
+// are fine). Anything else throws SncubeInputError naming line and column.
 Relation ReadCsv(std::istream& is);
 
 }  // namespace sncube

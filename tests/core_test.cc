@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <mutex>
+#include <set>
 
 #include "core/merge_partitions.h"
 #include "core/onedim_baseline.h"
 #include "core/workpart_baseline.h"
 #include "core/parallel_cube.h"
 #include "core/sample_sort.h"
-#include "core/sampling_array.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
 #include "net/cluster.h"
@@ -19,55 +19,132 @@ namespace sncube {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SamplingArray
+// SampledRowsLessEq: the Section 2.4 sample read in place
 
-TEST(SamplingArray, ExactWhileUnderCapacity) {
-  SamplingArray sample(1, 100);
-  for (Key k = 0; k < 50; ++k) sample.Add(std::vector<Key>{k * 2});
-  EXPECT_EQ(sample.stride(), 1u);
-  // Rows <= 20: keys 0,2,...,20 → 11 rows, exact at stride 1.
-  EXPECT_EQ(sample.EstimateRowsLessEq(std::vector<Key>{20}), 11u);
-  EXPECT_EQ(sample.EstimateRowsLessEq(std::vector<Key>{1000}), 50u);
-  EXPECT_EQ(sample.EstimateRowsLessEq(std::vector<Key>{0}), 1u);
+// The sampling array as Section 2.4 keeps it while a view is written row by
+// row: fill at stride 1; when full, keep every other sample and double the
+// stride. Returns the final stride and samples.
+std::pair<std::size_t, std::vector<KeyTuple>> StrideDoublingSample(
+    const std::vector<KeyTuple>& rows, std::size_t capacity) {
+  std::size_t stride = 1;
+  std::vector<KeyTuple> samples;
+  for (std::size_t count = 0; count < rows.size(); ++count) {
+    if (count % stride != 0) continue;
+    if (samples.size() == capacity) {
+      for (std::size_t i = 0; 2 * i < capacity; ++i) samples[i] = samples[2 * i];
+      samples.resize((capacity + 1) / 2);
+      stride *= 2;
+    }
+    if (count % stride == 0) samples.push_back(rows[count]);
+  }
+  return {stride, samples};
 }
 
-TEST(SamplingArray, StrideDoublesAndStaysAccurate) {
+TEST(SampledRows, MatchesStrideDoublingArray) {
+  Rng rng(2403);
+  const Key domains[] = {1, 3, 10, 100};  // few values: heavy duplicates
+  for (std::size_t capacity : {2, 3, 7, 64, 400}) {
+    for (int width = 1; width <= 3; ++width) {
+      // Sort by the columns in reverse so `cols` is not the storage order.
+      std::vector<int> cols = IdentityOrder(width);
+      std::reverse(cols.begin(), cols.end());
+      const std::size_t edges[] = {0, capacity, capacity + 1, 2 * capacity + 1};
+      for (int trial = 0; trial < 10; ++trial) {
+        const std::size_t n = trial < 4 ? edges[trial] : rng.Below(5001);
+        const Key domain = domains[rng.Below(4)];
+        Relation rel(width);
+        std::vector<Key> keys(static_cast<std::size_t>(width));
+        for (std::size_t r = 0; r < n; ++r) {
+          for (Key& k : keys) k = static_cast<Key>(rng.Below(domain));
+          rel.Append(keys, 1);
+        }
+        rel = SortRelation(rel, cols);
+
+        // Probe every distinct key and its ±1 neighbours in each column.
+        std::vector<KeyTuple> rows;
+        std::set<KeyTuple> probes = {KeyTuple(keys.size(), 0)};
+        for (std::size_t r = 0; r < n; ++r) {
+          rows.push_back(TupleAt(rel, r, cols));
+          for (std::size_t c = 0; c < keys.size(); ++c) {
+            for (Key delta : {0u, 1u, ~0u}) {  // +0, +1, -1 (mod 2^32)
+              KeyTuple probe = rows.back();
+              probe[c] += delta;
+              probes.insert(probe);
+            }
+          }
+        }
+        const auto [stride, samples] = StrideDoublingSample(rows, capacity);
+        ASSERT_EQ(SampleStride(n, capacity), stride)
+            << "n=" << n << " capacity=" << capacity;
+        for (const KeyTuple& key : probes) {
+          const auto kept = static_cast<std::size_t>(
+              std::upper_bound(samples.begin(), samples.end(), key) -
+              samples.begin());
+          ASSERT_EQ(SampledRowsLessEq(rel, cols, key, capacity),
+                    std::min(n, kept * stride))
+              << "n=" << n << " capacity=" << capacity << " width=" << width;
+        }
+      }
+    }
+  }
+}
+
+// SampledRowsLessEq over `rel` sorted in storage column order.
+std::size_t Estimate(const Relation& rel, const KeyTuple& key,
+                     std::size_t capacity) {
+  return SampledRowsLessEq(rel, IdentityOrder(rel.width()), key, capacity);
+}
+
+Relation OneColumn(const std::vector<Key>& keys) {
+  Relation rel(1);
+  for (Key k : keys) rel.Append(std::vector<Key>{k}, 1);
+  return rel;
+}
+
+TEST(SampledRows, ExactWhileUnderCapacity) {
+  std::vector<Key> keys;
+  for (Key k = 0; k < 50; ++k) keys.push_back(k * 2);
+  const Relation rel = OneColumn(keys);
+  EXPECT_EQ(SampleStride(rel.size(), 100), 1u);
+  // Rows <= 20: keys 0,2,...,20 → 11 rows, exact at stride 1.
+  EXPECT_EQ(Estimate(rel, {20}, 100), 11u);
+  EXPECT_EQ(Estimate(rel, {1000}, 100), 50u);
+  EXPECT_EQ(Estimate(rel, {0}, 100), 1u);
+}
+
+TEST(SampledRows, StrideDoublesAndStaysAccurate) {
   const std::size_t capacity = 64;
-  SamplingArray sample(1, capacity);
   const std::size_t n = 10000;
-  for (Key k = 0; k < n; ++k) sample.Add(std::vector<Key>{k});
-  EXPECT_GT(sample.stride(), 1u);
-  EXPECT_LE(sample.stride(), 2 * n / capacity);
+  std::vector<Key> keys;
+  for (Key k = 0; k < n; ++k) keys.push_back(k);
+  const Relation rel = OneColumn(keys);
+  const std::size_t stride = SampleStride(n, capacity);
+  EXPECT_GT(stride, 1u);
+  EXPECT_LE(stride, 2 * n / capacity);
   for (Key probe : {0u, 777u, 5000u, 9999u}) {
-    const std::size_t actual = probe + 1;
-    const std::size_t est = sample.EstimateRowsLessEq(std::vector<Key>{probe});
-    EXPECT_NEAR(static_cast<double>(est), static_cast<double>(actual),
-                static_cast<double>(sample.ErrorBound()))
+    EXPECT_NEAR(static_cast<double>(Estimate(rel, {probe}, capacity)),
+                static_cast<double>(probe + 1), static_cast<double>(stride))
         << "probe=" << probe;
   }
 }
 
-TEST(SamplingArray, MultiColumnLexicographic) {
-  SamplingArray sample(2, 16);
+TEST(SampledRows, MultiColumnLexicographic) {
+  Relation rel(2);
   for (Key a = 0; a < 10; ++a) {
-    for (Key b = 0; b < 10; ++b) sample.Add(std::vector<Key>{a, b});
+    for (Key b = 0; b < 10; ++b) rel.Append(std::vector<Key>{a, b}, 1);
   }
-  const auto est = sample.EstimateRowsLessEq(std::vector<Key>{4, 9});
-  EXPECT_NEAR(static_cast<double>(est), 50.0,
-              static_cast<double>(sample.ErrorBound()));
+  EXPECT_NEAR(static_cast<double>(Estimate(rel, {4, 9}, 16)), 50.0,
+              static_cast<double>(SampleStride(rel.size(), 16)));
 }
 
-TEST(SamplingArray, SkewedDuplicatesStillBounded) {
-  SamplingArray sample(1, 32);
+TEST(SampledRows, SkewedDuplicatesStillBounded) {
   // 5000 rows of key 7 then 5000 of key 9.
-  for (int i = 0; i < 5000; ++i) sample.Add(std::vector<Key>{7});
-  for (int i = 0; i < 5000; ++i) sample.Add(std::vector<Key>{9});
-  EXPECT_NEAR(
-      static_cast<double>(sample.EstimateRowsLessEq(std::vector<Key>{7})),
-      5000.0, static_cast<double>(sample.ErrorBound()));
-  EXPECT_NEAR(
-      static_cast<double>(sample.EstimateRowsLessEq(std::vector<Key>{8})),
-      5000.0, static_cast<double>(sample.ErrorBound()));
+  std::vector<Key> keys(5000, 7);
+  keys.resize(10000, 9);
+  const Relation rel = OneColumn(keys);
+  const auto stride = static_cast<double>(SampleStride(rel.size(), 32));
+  EXPECT_NEAR(static_cast<double>(Estimate(rel, {7}, 32)), 5000.0, stride);
+  EXPECT_NEAR(static_cast<double>(Estimate(rel, {8}, 32)), 5000.0, stride);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -14,6 +16,7 @@
 #include "net/fault.h"
 #include "net/wire.h"
 #include "query/engine.h"
+#include "relation/csv.h"
 #include "schedule/partial.h"
 #include "schedule/pipesort.h"
 #include "schedule/schedule_tree.h"
@@ -154,19 +157,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueryFuzz, ::testing::Range(0, 8));
 
 class CorruptionFuzz : public ::testing::TestWithParam<int> {};
 
-ByteBuffer Mutate(Rng& rng, ByteBuffer b) {
+// `Bytes` is a ByteBuffer or a std::string.
+template <typename Bytes>
+Bytes Mutate(Rng& rng, Bytes b) {
+  using Byte = typename Bytes::value_type;
   switch (rng.Below(3)) {
     case 0:  // truncate
       b.resize(rng.Below(b.size() + 1));
       break;
     case 1:  // flip bits in one byte
       if (!b.empty()) {
-        b[rng.Below(b.size())] ^= static_cast<std::byte>(1 + rng.Below(255));
+        b[rng.Below(b.size())] ^= static_cast<Byte>(1 + rng.Below(255));
       }
       break;
     default:  // append garbage
       for (std::size_t i = 1 + rng.Below(16); i > 0; --i) {
-        b.push_back(static_cast<std::byte>(rng.Below(256)));
+        b.push_back(static_cast<Byte>(rng.Below(256)));
       }
       break;
   }
@@ -225,7 +231,39 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
   }
 }
 
+// Mutated CSV text either loads as a relation that writes back and reads
+// back to itself, or raises SncubeInputError: never another exception, and
+// never a key wrapped into range.
+TEST_P(CorruptionFuzz, MutatedCsvLoadsOrThrowsInputError) {
+  Rng rng(9000 + static_cast<std::uint64_t>(GetParam()));
+  Relation rel(3);
+  for (int i = 0; i < 12; ++i) {
+    rel.Append(std::vector<Key>{static_cast<Key>(rng.Next()),
+                                static_cast<Key>(rng.Below(50)), 7},
+               static_cast<Measure>(rng.Below(2000)) - 1000);
+  }
+  std::stringstream csv;
+  WriteCsv(csv, rel, {"a", "b", "c"});
+  int accepted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::stringstream in(Mutate(rng, csv.str()));
+    Relation got;
+    try {
+      got = ReadCsv(in);
+    } catch (const SncubeInputError&) {
+      continue;
+    }
+    ++accepted;
+    std::stringstream back;
+    WriteCsv(back, got,
+             std::vector<std::string>(static_cast<std::size_t>(got.width())));
+    EXPECT_EQ(ReadCsv(back), got);
+  }
+  EXPECT_GT(accepted, 0);  // e.g. truncations at a row end
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionFuzz, ::testing::Range(0, 10));
+
 
 // ---------------------------------------------------------------------------
 // FaultPlan::Parse fuzz: (1) property — every plan the generator builds from

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "relation/aggregate.h"
 #include "relation/csv.h"
 #include "relation/relation.h"
@@ -250,6 +253,52 @@ TEST(Csv, HeaderOnly) {
   Relation rel = ReadCsv(ss);
   EXPECT_EQ(rel.width(), 2);
   EXPECT_EQ(rel.size(), 0u);
+}
+
+// ReadCsv must reject `csv` with a SncubeInputError naming `place`.
+void ExpectRejected(const std::string& csv, const std::string& place) {
+  std::stringstream ss(csv);
+  try {
+    ReadCsv(ss);
+    ADD_FAILURE() << "accepted: " << csv;
+  } catch (const SncubeInputError& e) {
+    EXPECT_NE(std::string(e.what()).find(place), std::string::npos) << e.what();
+  }
+}
+
+TEST(Csv, RejectsNegativeKey) {
+  ExpectRejected("a,b,measure\n1,2,3\n-1,2,3\n", "line 3, column 1:");
+}
+
+TEST(Csv, RejectsOversizedKey) {
+  ExpectRejected("a,b,measure\n1,99999999999,3\n", "line 2, column 2:");
+  ExpectRejected("a,measure\n4294967296,1\n", "line 2, column 1:");
+}
+
+TEST(Csv, RejectsNonNumericKey) {
+  for (const char* cell : {"x", "1x", " 1", "+1", "1.5"}) {
+    ExpectRejected(std::string("a,b,measure\n1,") + cell + ",3\n",
+                   "line 2, column 2:");
+  }
+}
+
+TEST(Csv, RejectsEmptyCell) {
+  ExpectRejected("a,b,measure\n1,,3\n", "line 2, column 2:");
+}
+
+TEST(Csv, RejectsRaggedRow) {
+  ExpectRejected("", "line 1, column 1:");  // no header
+  ExpectRejected("a,b,measure\n1,2,3\n\n1,2\n", "line 4, column 3:");
+  ExpectRejected("a,b,measure\n1,2,3,4\n", "line 2, column 4:");
+}
+
+TEST(Csv, MeasureIsAWholeInt64) {
+  ExpectRejected("a,measure\n1,9223372036854775808\n", "line 2, column 2:");
+  ExpectRejected("a,measure\n1,12abc\n", "line 2, column 2:");
+  // Both ranges' extremes load, and CRLF line ends are accepted.
+  std::stringstream ss("a,measure\r\n4294967295,-9223372036854775808\r\n");
+  EXPECT_EQ(ReadCsv(ss), MakeRel({{{std::numeric_limits<Key>::max()},
+                                   std::numeric_limits<Measure>::min()}}));
 }
 
 }  // namespace

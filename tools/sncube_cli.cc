@@ -348,8 +348,9 @@ int CmdBuild(const Args& args) {
     store.SaveCube(cube, schema);
     rows_total = cube.TotalRows();
   } else {
-    // Simulated shared-nothing build; rank r persists into out/rank<r>/ and
-    // rank shards are merged into one store afterwards for querying.
+    // Simulated shared-nothing build: each rank returns its shard of every
+    // view in memory; the shards are concatenated per view (ranks hold
+    // consecutive key ranges) and the cube is saved once into `out`.
     Cluster cluster(p);
     cluster.set_threads_per_rank(threads_per_rank);
     if (!fault_plan.empty()) cluster.set_fault_plan(fault_plan);
