@@ -1,9 +1,11 @@
 #include "seqcube/view_store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <string>
+#include <system_error>
 
 #include "common/status.h"
 #include "net/wire.h"
@@ -14,6 +16,51 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x534E4356;  // "SNCV"
 constexpr std::uint32_t kVersion = 1;
+
+// Writes the header of `head`, with the row count summed over `parts`, then
+// the parts' rows in order, serialized through `buf` at most
+// ViewStore::kWriteChunkBytes at a time.
+void WriteView(const std::filesystem::path& path, const ViewResult& head,
+               std::span<const Relation* const> parts, ByteBuffer& buf) {
+  std::uint64_t rows = 0;
+  for (const Relation* rel : parts) rows += rel->size();
+  buf.clear();
+  WirePut(buf, kMagic);
+  WirePut(buf, kVersion);
+  WirePut(buf, head.id.mask());
+  WirePut(buf, static_cast<std::uint32_t>(head.rel.width()));
+  WirePutVector(buf, std::vector<std::uint8_t>(head.order.begin(),
+                                               head.order.end()));
+  WirePut(buf, rows);
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    throw SncubeIoError("cannot open view file for writing: " + path.string());
+  }
+  const auto flush = [&] {
+    out.write(reinterpret_cast<const char*>(buf.data()),
+              static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+  };
+  for (const Relation* rel : parts) {
+    const std::size_t row_bytes = rel->RowBytes();
+    std::size_t begin = 0;
+    while (begin < rel->size()) {
+      const std::size_t room =
+          (ViewStore::kWriteChunkBytes - buf.size()) / row_bytes;
+      if (room == 0) {
+        flush();
+        continue;
+      }
+      const std::size_t end = std::min(rel->size(), begin + room);
+      SerializeRows(*rel, begin, end, buf);
+      begin = end;
+    }
+  }
+  flush();
+  out.close();
+  if (!out) throw SncubeIoError("short write to view file: " + path.string());
+}
 
 }  // namespace
 
@@ -28,12 +75,14 @@ std::filesystem::path ViewStore::PathFor(ViewId id) const {
 }
 
 void ViewStore::SaveSchema(const Schema& schema) const {
-  std::ofstream out(dir_ / "manifest.txt");
-  SNCUBE_CHECK_MSG(out.good(), "cannot write manifest");
+  const std::filesystem::path path = dir_ / "manifest.txt";
+  std::ofstream out(path);
   out << "sncube-manifest 1\n" << schema.dims() << "\n";
   for (int i = 0; i < schema.dims(); ++i) {
     out << schema.name(i) << ' ' << schema.cardinality(i) << "\n";
   }
+  out.close();
+  if (!out) throw SncubeIoError("cannot write manifest: " + path.string());
 }
 
 Schema ViewStore::LoadSchema() const {
@@ -56,29 +105,59 @@ Schema ViewStore::LoadSchema() const {
 }
 
 void ViewStore::Save(const ViewResult& view) const {
-  ByteBuffer header;
-  WirePut(header, kMagic);
-  WirePut(header, kVersion);
-  WirePut(header, view.id.mask());
-  WirePut(header, static_cast<std::uint32_t>(view.rel.width()));
-  WirePutVector(header,
-                std::vector<std::uint8_t>(view.order.begin(), view.order.end()));
-  WirePut(header, static_cast<std::uint64_t>(view.rel.size()));
-
-  std::ofstream out(PathFor(view.id), std::ios::binary | std::ios::trunc);
-  SNCUBE_CHECK_MSG(out.good(), "cannot open view file for writing");
-  out.write(reinterpret_cast<const char*>(header.data()),
-            static_cast<std::streamsize>(header.size()));
-  const ByteBuffer rows = SerializeRelation(view.rel);
-  out.write(reinterpret_cast<const char*>(rows.data()),
-            static_cast<std::streamsize>(rows.size()));
-  SNCUBE_CHECK_MSG(out.good(), "short write to view file");
+  ByteBuffer buf;
+  const Relation* rel = &view.rel;
+  WriteView(PathFor(view.id), view, {&rel, 1}, buf);
 }
 
 void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
+  SaveCube(std::span<const CubeResult>(&cube, 1), schema);
+}
+
+void ViewStore::SaveCube(std::span<const CubeResult> shards,
+                         const Schema& schema) const {
+  if (shards.empty()) throw SncubeError("SaveCube needs at least one shard");
+  // Check every shard before touching the directory.
+  for (const auto& [id, vr] : shards[0].views) {
+    if (!vr.selected) continue;
+    for (std::size_t s = 1; s < shards.size(); ++s) {
+      const auto it = shards[s].views.find(id);
+      const char* problem = nullptr;
+      if (it == shards[s].views.end()) {
+        problem = "view missing";
+      } else if (it->second.rel.width() != vr.rel.width()) {
+        problem = "width disagrees with shard 0";
+      } else if (it->second.order != vr.order) {
+        problem = "sort order disagrees with shard 0";
+      }
+      if (problem != nullptr) {
+        throw SncubeError("shard " + std::to_string(s) + ", view " +
+                          id.Name(schema) + ": " + problem);
+      }
+    }
+  }
+
+  for (ViewId id : List()) {
+    const auto it = shards[0].views.find(id);
+    if (it != shards[0].views.end() && it->second.selected) continue;
+    std::error_code ec;
+    std::filesystem::remove(PathFor(id), ec);
+    if (ec) {
+      throw SncubeIoError("cannot remove stale view file " +
+                          PathFor(id).string() + ": " + ec.message());
+    }
+  }
   SaveSchema(schema);
-  for (const auto& [id, vr] : cube.views) {
-    if (vr.selected) Save(vr);
+
+  ByteBuffer buf;
+  buf.reserve(kWriteChunkBytes);
+  std::vector<const Relation*> parts(shards.size());
+  for (const auto& [id, vr] : shards[0].views) {
+    if (!vr.selected) continue;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      parts[s] = &shards[s].views.at(id).rel;
+    }
+    WriteView(PathFor(id), vr, parts, buf);
   }
 }
 
@@ -138,8 +217,10 @@ std::vector<ViewId> ViewStore::List() const {
         entry.path().extension() != ".sncv") {
       continue;
     }
-    const std::uint32_t mask =
-        static_cast<std::uint32_t>(std::stoul(name.substr(1, 5), nullptr, 16));
+    std::uint32_t mask = 0;
+    const char* hex = name.data() + 1;
+    const auto [end, ec] = std::from_chars(hex, hex + 5, mask, 16);
+    if (ec != std::errc() || end != hex + 5) continue;  // not a view file
     ids.emplace_back(mask);
   }
   std::sort(ids.begin(), ids.end());

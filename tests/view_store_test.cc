@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 
 #include "data/generator.h"
 #include "lattice/lattice.h"
@@ -125,6 +128,167 @@ TEST_F(ViewStoreTest, EmptyViewPersists) {
   const ViewResult back = store.Load(ViewId::Empty());
   EXPECT_EQ(back.rel.size(), 0u);
   EXPECT_EQ(back.rel.width(), 0);
+}
+
+TEST_F(ViewStoreTest, SaveCubeRemovesViewsNotInTheCube) {
+  ViewStore store(dir_);
+  const Schema schema({4, 4});
+  CubeResult first;
+  for (ViewId id : AllViews(2)) {
+    first.views[id] = MakeView(id, id.DimList(), 4);
+  }
+  store.SaveCube(first, schema);
+  ASSERT_EQ(store.List().size(), 4u);
+
+  // A rebuild with fewer views: the dropped ones and the non-selected one
+  // must not survive to answer queries from the old cube.
+  CubeResult second;
+  const ViewId kept = ViewId::FromDims({0});
+  second.views[kept] = MakeView(kept, {0}, 2);
+  ViewResult aux = MakeView(ViewId::FromDims({1}), {1}, 2);
+  aux.selected = false;
+  second.views[aux.id] = std::move(aux);
+  store.SaveCube(second, schema);
+  EXPECT_EQ(store.List(), std::vector<ViewId>{kept});
+  EXPECT_EQ(store.Load(kept).rel.size(), 2u);
+}
+
+TEST_F(ViewStoreTest, ListIgnoresFilesThatAreNotViews) {
+  ViewStore store(dir_);
+  const ViewId id = ViewId::FromDims({0});
+  CubeResult cube;
+  cube.views[id] = MakeView(id, {0}, 3);
+  for (const char* name : {"vxyzzz.sncv", "v+0001.sncv", "notes.txt"}) {
+    std::ofstream(dir_ / name) << "x";
+  }
+  store.SaveCube(cube, Schema({4}));
+  EXPECT_EQ(store.List(), std::vector<ViewId>{id});
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "vxyzzz.sncv"));
+}
+
+TEST_F(ViewStoreTest, UnwritableViewPathThrowsIoErrorNamingTheFile) {
+  ViewStore store(dir_);
+  const ViewId id = ViewId::FromDims({0});
+  std::filesystem::create_directories(dir_ / "v00001.sncv");
+  CubeResult cube;
+  cube.views[id] = MakeView(id, {0}, 3);
+  try {
+    store.SaveCube(cube, Schema({4}));
+    FAIL() << "expected SncubeIoError";
+  } catch (const SncubeIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("v00001.sncv"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(store.Save(cube.views.at(id)), SncubeIoError);
+}
+
+// Two shards of a cube over Schema({4, 4, 4}) holding views A and AB.
+std::vector<CubeResult> TwoShards() {
+  std::vector<CubeResult> shards(2);
+  for (auto& shard : shards) {
+    for (ViewId id : {ViewId::FromDims({0}), ViewId::FromDims({0, 1})}) {
+      shard.views[id] = MakeView(id, id.DimList(), 3);
+    }
+  }
+  return shards;
+}
+
+// A rejected shard set must leave the directory untouched.
+void ExpectShardsRejected(const std::filesystem::path& dir,
+                          const std::vector<CubeResult>& shards,
+                          const std::string& why) {
+  ViewStore store(dir);
+  try {
+    store.SaveCube(shards, Schema({4, 4, 4}));
+    FAIL() << "expected SncubeError for " << why;
+  } catch (const SncubeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("view AB"), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+}
+
+TEST_F(ViewStoreTest, ShardMissingAViewIsRejected) {
+  std::vector<CubeResult> shards = TwoShards();
+  shards[1].views.erase(ViewId::FromDims({0, 1}));
+  ExpectShardsRejected(dir_, shards, "missing");
+}
+
+TEST_F(ViewStoreTest, ShardWidthMismatchIsRejected) {
+  std::vector<CubeResult> shards = TwoShards();
+  shards[1].views.at(ViewId::FromDims({0, 1})).rel = Relation(1);
+  ExpectShardsRejected(dir_, shards, "width");
+}
+
+TEST_F(ViewStoreTest, ShardOrderMismatchIsRejected) {
+  std::vector<CubeResult> shards = TwoShards();
+  shards[1].views.at(ViewId::FromDims({0, 1})).order = {1, 0};
+  ExpectShardsRejected(dir_, shards, "order");
+}
+
+std::map<std::string, std::string> ReadFiles(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST_F(ViewStoreTest, ShardedSaveEqualsConcatenatedSave) {
+  const Schema schema({1000, 1000, 8});
+  const ViewId all = ViewId::Empty();
+  const ViewId big = ViewId::FromDims({0, 1});
+  const ViewId aux = ViewId::FromDims({2});
+  // The big view spans 2.5 serialize chunks. With 4 shards its rows split
+  // 30/0/50/20%: shard 1 is empty and the first chunk boundary falls inside
+  // shard 2.
+  const std::size_t chunk_rows =
+      ViewStore::kWriteChunkBytes / Relation(big.dim_count()).RowBytes();
+  const int big_rows = static_cast<int>(chunk_rows * 5 / 2);
+  const std::map<int, std::vector<double>> splits = {
+      {1, {1.0}}, {2, {0.45, 0.55}}, {4, {0.3, 0.0, 0.5, 0.2}}};
+
+  CubeResult whole;
+  whole.views[all] = MakeView(all, {}, 3);
+  whole.views[big] = MakeView(big, {1, 0}, big_rows);
+  whole.views[aux] = MakeView(aux, {2}, 5);
+  whole.views[aux].selected = false;
+
+  for (const auto& [count, split] : splits) {
+    SCOPED_TRACE("shards: " + std::to_string(count));
+    // Cut every view at the same fractions, so `whole` is the shards'
+    // concatenation.
+    std::vector<CubeResult> shards(static_cast<std::size_t>(count));
+    for (const auto& [id, vr] : whole.views) {
+      std::size_t begin = 0;
+      double cut = 0;
+      for (int s = 0; s < count; ++s) {
+        cut += split[static_cast<std::size_t>(s)];
+        const std::size_t end =
+            s + 1 == count ? vr.rel.size()
+                           : static_cast<std::size_t>(cut * vr.rel.size());
+        ViewResult part = vr;
+        part.rel = Relation(vr.rel.width());
+        for (std::size_t r = begin; r < end; ++r) part.rel.AppendRow(vr.rel, r);
+        shards[static_cast<std::size_t>(s)].views[id] = std::move(part);
+        begin = end;
+      }
+    }
+
+    const std::filesystem::path one = dir_ / "concatenated";
+    const std::filesystem::path many = dir_ / "sharded";
+    ViewStore(one).SaveCube(whole, schema);
+    ViewStore(many).SaveCube(shards, schema);
+    const auto expected = ReadFiles(one);
+    EXPECT_EQ(expected.size(), 3u);  // manifest, all, big; not aux
+    EXPECT_FALSE(ViewStore(many).Contains(aux));
+    EXPECT_TRUE(ReadFiles(many) == expected);
+    EXPECT_EQ(ViewStore(many).Load(big).rel, whole.views.at(big).rel);
+    std::filesystem::remove_all(dir_);
+  }
 }
 
 }  // namespace

@@ -278,7 +278,9 @@ int CmdBuild(const Args& args) {
   const std::string in = args.Require("in");
   std::ifstream is(in);
   if (!is.good()) Usage(("cannot read " + in).c_str());
+  WallTimer ingest_timer;
   const Relation raw = ReadCsv(is);
+  const double ingest_s = ingest_timer.Seconds();
   if (raw.empty()) Usage("input has no rows");
 
   // Infer cardinalities from the data (max code + 1 per column).
@@ -341,16 +343,22 @@ int CmdBuild(const Args& args) {
   const std::string out = args.Require("out");
   WallTimer timer;
   std::uint64_t rows_total = 0;
+  double compute_s = 0;
+  double write_s = 0;
   if (p == 1 && !traced && threads_per_rank == 1) {
+    WallTimer compute_timer;
     const CubeResult cube = SequentialCube(raw, schema, selected);
+    compute_s = compute_timer.Seconds();
+    WallTimer write_timer;
     ViewStore store(out);
     // Drop auxiliaries when persisting.
     store.SaveCube(cube, schema);
+    write_s = write_timer.Seconds();
     rows_total = cube.TotalRows();
   } else {
     // Simulated shared-nothing build: each rank returns its shard of every
-    // view in memory; the shards are concatenated per view (ranks hold
-    // consecutive key ranges) and the cube is saved once into `out`.
+    // view in memory (ranks hold consecutive key ranges), and the shards
+    // are streamed into the view files of `out` in rank order.
     Cluster cluster(p);
     cluster.set_threads_per_rank(threads_per_rank);
     if (!fault_plan.empty()) cluster.set_fault_plan(fault_plan);
@@ -358,6 +366,7 @@ int CmdBuild(const Args& args) {
     if (traced) cluster.set_trace_sink(&trace_sink);
     std::vector<CubeResult> shards(p);
     std::mutex mu;
+    WallTimer compute_timer;
     try {
       cluster.Run([&](Comm& comm) {
         // Deal rows round-robin to ranks (the paper's "distributed
@@ -382,6 +391,7 @@ int CmdBuild(const Args& args) {
       }
       return 3;
     }
+    compute_s = compute_timer.Seconds();
     std::printf("simulated %d-processor build: %.2f s simulated parallel "
                 "time, %.1f MB communicated\n",
                 p, cluster.SimTimeSeconds(),
@@ -400,25 +410,17 @@ int CmdBuild(const Args& args) {
       if (summary_out) obs::WriteTextFile(*summary_out, summary);
       std::printf("%s\n", summary.c_str());
     }
-    // Concatenate shards per view (shards are globally sorted by rank).
-    CubeResult merged;
-    for (ViewId v : selected) {
-      ViewResult vr;
-      vr.id = v;
-      vr.order = shards[0].views.at(v).order;
-      vr.rel = Relation(v.dim_count());
-      for (auto& shard : shards) {
-        vr.rel.Concat(std::move(shard.views.at(v).rel));
-      }
-      merged.views[v] = std::move(vr);
-    }
+    WallTimer write_timer;
     ViewStore store(out);
-    store.SaveCube(merged, schema);
-    rows_total = merged.TotalRows();
+    store.SaveCube(shards, schema);
+    write_s = write_timer.Seconds();
+    for (const CubeResult& shard : shards) rows_total += shard.TotalRows();
   }
   std::printf("built %zu views (%llu rows) into %s in %.2f s\n",
               selected.size(), static_cast<unsigned long long>(rows_total),
               out.c_str(), timer.Seconds());
+  std::printf("host: ingest %.2f s, compute %.2f s, write %.2f s\n", ingest_s,
+              compute_s, write_s);
   return 0;
 }
 
