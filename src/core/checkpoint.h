@@ -20,19 +20,22 @@
 // manifest line naming them is appended last. A crash between the two leaves
 // an incomplete partition that the manifest never mentions, so restart
 // simply recomputes it (stale files are overwritten). Transient disk errors
-// (SncubeTransientIoError, e.g. from fault injection) are retried under
-// capped exponential backoff — with the backoff charged to the simulated
-// clock — before escalating to SncubeIoError, i.e. a rank failure. Both the
-// view writes and the manifest append go through the same retry path.
+// (SncubeTransientIoError, e.g. from fault injection) are retried through
+// io/checked_file.h's RetryTransientIo — kTransientIoRetries times, each
+// wait a capped exponential backoff (kBackoffInitialS doubling to
+// kBackoffCapS) charged to the simulated clock — before escalating to
+// SncubeIoError, i.e. a rank failure. View writes, view reads and the
+// manifest append all go through that retry.
 //
-// Integrity: every view shard is persisted as a CRC32C-sealed frame and
-// every manifest line carries a CRC suffix (io/checked_file.h). Restart
-// verifies the manifest-named shards (LastVerifiedPartition) and treats a
-// shard that fails verification exactly like a missing one: the damaged
-// file is quarantined to `<file>.corrupt`, the verified prefix ends before
-// that partition, and the cluster-wide AllReduceMin agreement forces the
-// partition to be recomputed everywhere — still byte-identical, never a
-// silently wrong cube.
+// Layout: each view shard `p<index>_v<mask>.ckpt` is the view frame of
+// seqcube/view_store.h — [u64 partition index][u8 selected][.sncv view] —
+// sealed with a CRC32C trailer, and every manifest line carries a CRC
+// suffix (io/checked_file.h). Restart verifies the manifest-named shards
+// (LastVerifiedPartition) and treats a shard that fails verification
+// exactly like a missing one: the damaged file is quarantined to
+// `<file>.corrupt`, the verified prefix ends before that partition, and the
+// cluster-wide AllReduceMin agreement forces the partition to be recomputed
+// everywhere — still byte-identical, never a silently wrong cube.
 #pragma once
 
 #include <filesystem>
@@ -47,11 +50,6 @@ namespace sncube {
 struct CheckpointOptions {
   // Checkpoint root directory; empty disables checkpointing entirely.
   std::string dir;
-  // Transient disk-error retries per operation before escalating.
-  int max_io_retries = 4;
-  // First backoff (simulated seconds); doubles per retry up to the cap.
-  double backoff_initial_s = 0.05;
-  double backoff_cap_s = 1.0;
   // Verify shard checksums on restart (LastVerifiedPartition / LoadPartition).
   // TEST-ONLY escape hatch: disabling this deliberately re-opens the silent-
   // corruption path so the chaos explorer's shrinking can be demonstrated
@@ -66,6 +64,11 @@ struct CheckpointOptions {
 // passed per call.
 class CheckpointManager {
  public:
+  // Backoff before the first transient-error retry, in simulated seconds;
+  // it doubles per retry up to the cap.
+  static constexpr double kBackoffInitialS = 0.05;
+  static constexpr double kBackoffCapS = 1.0;
+
   CheckpointManager(const CheckpointOptions& opts, int rank);
 
   bool enabled() const { return opts_.enabled(); }
@@ -96,8 +99,8 @@ class CheckpointManager {
   std::filesystem::path ViewPath(int index, ViewId id) const;
   std::filesystem::path ManifestPath() const;
   // Reads one shard through the checked io layer (or, with verify_restore
-  // off, raw with the trailer blindly stripped) and returns its payload.
-  ByteBuffer ReadShard(Comm& comm, const std::filesystem::path& path);
+  // off, raw with the trailer blindly stripped) and decodes its frame.
+  ViewResult ReadShard(Comm& comm, int index, ViewId id);
   // Manifest lines parsed as (partition index, view masks), in file order,
   // stopping at the first malformed line.
   std::vector<std::pair<int, std::vector<std::uint32_t>>> ReadManifest() const;

@@ -147,13 +147,14 @@ TEST(Checkpoint, CorruptViewFileThrowsTypedCorruptionError) {
     opts.dir = dir.string();
     CheckpointManager mgr(opts, comm.rank());
     mgr.SavePartition(comm, 0, cube);
-    // Flip a byte in one view file's magic.
+    // Flip a byte in one view file's magic, which follows the frame's
+    // 8-byte partition tag and its selected byte.
     char name[32];
     std::snprintf(name, sizeof(name), "p%03d_v%05x.ckpt", 0,
                   cube.views.begin()->first.mask());
     const auto path = dir / "rank0" / name;
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(0);
+    f.seekp(9);
     f.put('\x00');
     f.close();
     CubeResult restored;
@@ -197,13 +198,12 @@ TEST(Checkpoint, PersistentDiskErrorsEscalateAfterRetryBudget) {
   cluster.Run([&](Comm& comm) {
     CheckpointOptions opts;
     opts.dir = dir.string();
-    opts.max_io_retries = 3;
     CheckpointManager mgr(opts, comm.rank());
     try {
       mgr.SavePartition(comm, 0, cube);
       ADD_FAILURE() << "persistent disk errors must escalate";
     } catch (const SncubeIoError& e) {
-      EXPECT_NE(std::string(e.what()).find("3 retries"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("4 retries"), std::string::npos);
     }
   });
   std::filesystem::remove_all(dir);
@@ -244,7 +244,7 @@ TEST(Checkpoint, ManifestAppendIsRetriedOnTransientError) {
     // The append failed once and was retried: one extra write op, and the
     // first backoff wait landed on the simulated clock.
     EXPECT_EQ(hook.writes(), 4);
-    EXPECT_GE(comm.LocalTime() - before, opts.backoff_initial_s);
+    EXPECT_GE(comm.LocalTime() - before, CheckpointManager::kBackoffInitialS);
     // The retried append committed the partition, undamaged.
     EXPECT_EQ(mgr.LastCompletePartition(), 0);
     CubeResult restored;

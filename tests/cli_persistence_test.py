@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""cli_persistence_test — drive the real `sncube` binary through its stores.
+
+Covers what the C++ suites reach only below the CLI:
+
+  * checkpoint kill -> restart: `build --procs 2 --checkpoint-dir D
+    --fault-plan kill:1@K` exits 3, and a rerun on the same D exits 0 with a
+    cube directory byte-identical to a fault-free build (K=5 dies before any
+    partition is saved, K=40 after some are, so the rerun restores them);
+  * snapshot epochs: three `refresh --snapshot-dir S` runs report epochs
+    1, 2, 3, and only the newest two epoch directories remain;
+  * read commands on a missing cube directory exit non-zero and create
+    nothing.
+
+Usage:
+    cli_persistence_test.py --binary build/tools/sncube
+
+Exit status: 0 pass, 1 failures (each printed), 2 usage error.
+"""
+
+import argparse
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+failures = []
+
+
+def check(condition, message):
+    if not condition:
+        failures.append(message)
+
+
+def same_tree(a, b):
+    """True when directories a and b hold the same files, byte for byte."""
+    cmp = filecmp.dircmp(a, b)
+    if cmp.left_only or cmp.right_only or cmp.funny_files:
+        return False
+    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files,
+                                           shallow=False)
+    return not mismatch and not errors and all(
+        same_tree(os.path.join(a, d), os.path.join(b, d))
+        for d in cmp.common_dirs)
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--binary", required=True)
+    args = parser.parse_args(argv)
+    if not os.access(args.binary, os.X_OK):
+        print(f"cli_persistence_test: not executable: {args.binary}",
+              file=sys.stderr)
+        return 2
+
+    def sncube(*cmd):
+        return subprocess.run([args.binary, *cmd], capture_output=True,
+                              text=True)
+
+    work = tempfile.mkdtemp(prefix="sncube_cli_persistence_")
+    try:
+        def path(*parts):
+            return os.path.join(work, *parts)
+
+        cards = "16,8,4,2"
+        gen = sncube("generate", "--rows", "3000", "--cards", cards,
+                     "--seed", "3", "--out", path("facts.csv"))
+        check(gen.returncode == 0, f"generate failed: {gen.stderr}")
+        ref = sncube("build", "--in", path("facts.csv"), "--out", path("ref"),
+                     "--procs", "2")
+        check(ref.returncode == 0, f"fault-free build failed: {ref.stderr}")
+
+        # --- checkpoint kill -> restart ----------------------------------
+        for kill_at, saves_partitions in ((5, False), (40, True)):
+            ckpt = path(f"ckpt_{kill_at}")
+            out = path(f"cube_{kill_at}")
+            build = ("build", "--in", path("facts.csv"), "--out", out,
+                     "--procs", "2", "--checkpoint-dir", ckpt)
+            killed = sncube(*build, "--fault-plan", f"kill:1@{kill_at}")
+            check(killed.returncode == 3,
+                  f"kill:1@{kill_at}: expected exit 3, got "
+                  f"{killed.returncode}: {killed.stderr}")
+            saved = [f for _, _, files in os.walk(ckpt) for f in files
+                     if f.endswith(".ckpt")]
+            check(bool(saved) == saves_partitions,
+                  f"kill:1@{kill_at}: {len(saved)} checkpoint shards saved")
+            rerun = sncube(*build)
+            check(rerun.returncode == 0,
+                  f"kill:1@{kill_at}: rerun failed: {rerun.stderr}")
+            check(rerun.returncode == 0 and same_tree(out, path("ref")),
+                  f"kill:1@{kill_at}: resumed cube differs from the "
+                  "fault-free build")
+
+        # --- snapshot epochs: keep the newest two ------------------------
+        cube = path("refreshed")
+        shutil.copytree(path("ref"), cube)
+        snaps = path("snaps")
+        for epoch in (1, 2, 3):
+            delta = path(f"delta_{epoch}.csv")
+            sncube("generate", "--rows", "50", "--cards", cards, "--seed",
+                   str(100 + epoch), "--out", delta)
+            refresh = sncube("refresh", "--cube", cube, "--delta", delta,
+                             "--snapshot-dir", snaps)
+            check(refresh.returncode == 0,
+                  f"refresh {epoch} failed: {refresh.stderr}")
+            if refresh.returncode == 0:
+                report = json.loads(refresh.stdout)
+                check(report["snapshot_epoch"] == epoch,
+                      f"refresh {epoch} reported epoch "
+                      f"{report['snapshot_epoch']}")
+        epochs = sorted(d for d in os.listdir(snaps) if d.startswith("epoch_"))
+        check(epochs == ["epoch_2", "epoch_3"],
+              f"snapshot dir holds {epochs}, expected epoch_2 and epoch_3")
+
+        # --- read commands need an existing cube -------------------------
+        for command in (("info", "--cube", path("typo_dir")),
+                        ("query", "--cube", path("typo_dir"), "--group-by",
+                         "D0")):
+            read = sncube(*command)
+            check(read.returncode != 0,
+                  f"{command[0]} on a missing cube exited 0")
+            check(not os.path.exists(path("typo_dir")),
+                  f"{command[0]} on a missing cube created the directory")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+    for message in failures:
+        print(f"FAIL: {message}")
+    if not failures:
+        print("cli_persistence_test: ok")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,6 +21,7 @@
 #include "schedule/pipesort.h"
 #include "schedule/schedule_tree.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_store.h"
 
 namespace sncube {
 namespace {
@@ -229,6 +230,56 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
     } catch (const SncubeError&) {
     }
   }
+}
+
+// A genuine persisted view, as a `.sncv` encoding and inside a view frame,
+// mutated: every mutation decodes to a view of the expected mask whose
+// order permutes its dimensions, or throws SncubeCorruptionError — never
+// another exception.
+TEST_P(CorruptionFuzz, MutatedViewBytesLoadOrThrowCorruption) {
+  Rng rng(11000 + static_cast<std::uint64_t>(GetParam()));
+  ViewResult vr;
+  vr.id = ViewId::FromDims({0, 2});
+  vr.order = {2, 0};
+  vr.rel = Relation(2);
+  for (int i = 0; i < 16; ++i) {
+    vr.rel.Append(std::vector<Key>{static_cast<Key>(rng.Below(100)),
+                                   static_cast<Key>(rng.Below(10))},
+                  static_cast<Measure>(rng.Below(1000)));
+  }
+  ByteBuffer sncv;
+  PutViewHeader(sncv, vr, vr.rel.size());
+  SerializeRows(vr.rel, 0, vr.rel.size(), sncv);
+  const ByteBuffer frame = EncodeViewFrame(5, vr);
+
+  const auto expect_sound = [&](const ViewResult& got) {
+    EXPECT_EQ(got.id, vr.id);
+    EXPECT_EQ(got.rel.width(), vr.id.dim_count());
+    std::vector<int> dims = got.order;
+    std::sort(dims.begin(), dims.end());
+    EXPECT_EQ(dims, vr.id.DimList());
+  };
+  {
+    WireReader reader(sncv);
+    EXPECT_EQ(GetView(reader, vr.id).rel, vr.rel);
+    EXPECT_EQ(DecodeViewFrame(frame, 5, vr.id).rel, vr.rel);
+  }
+  int accepted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    try {
+      const ByteBuffer bytes = Mutate(rng, sncv);
+      WireReader reader(bytes);
+      expect_sound(GetView(reader, vr.id));
+      ++accepted;
+    } catch (const SncubeCorruptionError&) {
+    }
+    try {
+      expect_sound(DecodeViewFrame(Mutate(rng, frame), 5, vr.id));
+      ++accepted;
+    } catch (const SncubeCorruptionError&) {
+    }
+  }
+  EXPECT_GT(accepted, 0);  // e.g. a flipped measure byte
 }
 
 // Mutated CSV text either loads as a relation that writes back and reads

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -40,11 +41,19 @@ ViewResult MakeView(ViewId id, std::vector<int> order, int rows) {
   return vr;
 }
 
+// A cube holding the one view `vr`.
+CubeResult OneView(ViewResult vr) {
+  CubeResult cube;
+  const ViewId id = vr.id;
+  cube.views[id] = std::move(vr);
+  return cube;
+}
+
 TEST_F(ViewStoreTest, SaveLoadRoundTrip) {
   ViewStore store(dir_);
   const ViewResult original = MakeView(ViewId::FromDims({0, 2}), {2, 0}, 50);
-  store.Save(original);
-  ASSERT_TRUE(store.Contains(original.id));
+  store.SaveCube(OneView(original), Schema({4, 4, 4}));
+  ASSERT_EQ(store.List(), std::vector<ViewId>{original.id});
   const ViewResult back = store.Load(original.id);
   EXPECT_EQ(back.id, original.id);
   EXPECT_EQ(back.order, original.order);
@@ -54,7 +63,7 @@ TEST_F(ViewStoreTest, SaveLoadRoundTrip) {
 TEST_F(ViewStoreTest, SchemaManifestRoundTrip) {
   ViewStore store(dir_);
   const Schema schema({100, 50, 2}, {"alpha", "beta", "gamma"});
-  store.SaveSchema(schema);
+  store.SaveCube(CubeResult{}, schema);
   const Schema back = store.LoadSchema();
   ASSERT_EQ(back.dims(), 3);
   for (int i = 0; i < 3; ++i) {
@@ -95,13 +104,15 @@ TEST_F(ViewStoreTest, AuxViewsNotPersisted) {
   cube.views[aux.id] = std::move(aux);
   store.SaveCube(cube, Schema({4, 2}));
   EXPECT_EQ(store.List().size(), 1u);
-  EXPECT_FALSE(store.Contains(ViewId::FromDims({1})));
+  EXPECT_EQ(store.List(), std::vector<ViewId>{ViewId::FromDims({0})});
 }
 
 TEST_F(ViewStoreTest, OverwriteReplacesContent) {
   ViewStore store(dir_);
-  store.Save(MakeView(ViewId::FromDims({0}), {0}, 10));
-  store.Save(MakeView(ViewId::FromDims({0}), {0}, 3));
+  store.SaveCube(OneView(MakeView(ViewId::FromDims({0}), {0}, 10)),
+                 Schema({16}));
+  store.SaveCube(OneView(MakeView(ViewId::FromDims({0}), {0}, 3)),
+                 Schema({16}));
   EXPECT_EQ(store.Load(ViewId::FromDims({0})).rel.size(), 3u);
 }
 
@@ -114,7 +125,7 @@ TEST_F(ViewStoreTest, MissingViewThrows) {
 TEST_F(ViewStoreTest, CorruptFileRejected) {
   ViewStore store(dir_);
   const ViewId id = ViewId::FromDims({0, 1});
-  store.Save(MakeView(id, {0, 1}, 5));
+  store.SaveCube(OneView(MakeView(id, {0, 1}, 5)), Schema({8, 8}));
   // Truncate the file.
   const auto path = dir_ / "v00003.sncv";
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -124,7 +135,7 @@ TEST_F(ViewStoreTest, CorruptFileRejected) {
 
 TEST_F(ViewStoreTest, EmptyViewPersists) {
   ViewStore store(dir_);
-  store.Save(MakeView(ViewId::Empty(), {}, 0));
+  store.SaveCube(OneView(MakeView(ViewId::Empty(), {}, 0)), Schema({4}));
   const ViewResult back = store.Load(ViewId::Empty());
   EXPECT_EQ(back.rel.size(), 0u);
   EXPECT_EQ(back.rel.width(), 0);
@@ -158,6 +169,7 @@ TEST_F(ViewStoreTest, ListIgnoresFilesThatAreNotViews) {
   const ViewId id = ViewId::FromDims({0});
   CubeResult cube;
   cube.views[id] = MakeView(id, {0}, 3);
+  std::filesystem::create_directories(dir_);
   for (const char* name : {"vxyzzz.sncv", "v+0001.sncv", "notes.txt"}) {
     std::ofstream(dir_ / name) << "x";
   }
@@ -179,7 +191,8 @@ TEST_F(ViewStoreTest, UnwritableViewPathThrowsIoErrorNamingTheFile) {
     EXPECT_NE(std::string(e.what()).find("v00001.sncv"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(store.Save(cube.views.at(id)), SncubeIoError);
+  // A second attempt fails the same way rather than writing around it.
+  EXPECT_THROW(store.SaveCube(cube, Schema({4})), SncubeIoError);
 }
 
 // Two shards of a cube over Schema({4, 4, 4}) holding views A and AB.
@@ -193,7 +206,7 @@ std::vector<CubeResult> TwoShards() {
   return shards;
 }
 
-// A rejected shard set must leave the directory untouched.
+// A rejected shard set must leave the directory uncreated.
 void ExpectShardsRejected(const std::filesystem::path& dir,
                           const std::vector<CubeResult>& shards,
                           const std::string& why) {
@@ -206,7 +219,7 @@ void ExpectShardsRejected(const std::filesystem::path& dir,
     EXPECT_NE(what.find("view AB"), std::string::npos) << what;
     EXPECT_NE(what.find(why), std::string::npos) << what;
   }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST_F(ViewStoreTest, ShardMissingAViewIsRejected) {
@@ -284,11 +297,123 @@ TEST_F(ViewStoreTest, ShardedSaveEqualsConcatenatedSave) {
     ViewStore(many).SaveCube(shards, schema);
     const auto expected = ReadFiles(one);
     EXPECT_EQ(expected.size(), 3u);  // manifest, all, big; not aux
-    EXPECT_FALSE(ViewStore(many).Contains(aux));
+    EXPECT_EQ(ViewStore(many).List(), (std::vector<ViewId>{all, big}));
     EXPECT_TRUE(ReadFiles(many) == expected);
     EXPECT_EQ(ViewStore(many).Load(big).rel, whole.views.at(big).rel);
     std::filesystem::remove_all(dir_);
   }
+}
+
+TEST_F(ViewStoreTest, ReadingAMissingStoreCreatesNothing) {
+  const std::filesystem::path typo = dir_ / "typo_dir";
+  const ViewStore store(typo);
+  try {
+    store.LoadSchema();
+    FAIL() << "expected SncubeIoError";
+  } catch (const SncubeIoError& e) {
+    EXPECT_NE(std::string(e.what()).find(typo.string()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(store.Load(ViewId::FromDims({0})), SncubeIoError);
+  EXPECT_TRUE(store.List().empty());
+  EXPECT_FALSE(std::filesystem::exists(typo));
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+}
+
+TEST_F(ViewStoreTest, MalformedManifestIsRejected) {
+  const Schema schema({6, 4}, {"D0", "D1"});
+  const std::filesystem::path manifest = dir_ / "manifest.txt";
+  // Each case replaces the manifest text; `line` is the line to be named.
+  struct Case {
+    const char* what;
+    const char* text;
+    int line;
+  };
+  const Case cases[] = {
+      {"wrapped cardinality", "sncube-manifest 1\n2\nD0 -1\nD1 4\n", 3},
+      {"zero cardinality", "sncube-manifest 1\n2\nD0 6\nD1 0\n", 4},
+      {"missing line", "sncube-manifest 1\n2\nD0 6\n", 4},
+      {"non-numeric cardinality", "sncube-manifest 1\n2\nD0 six\nD1 4\n", 3},
+      {"trailing junk", "sncube-manifest 1\n2\nD0 6\nD1 4x\n", 4},
+      {"extra line", "sncube-manifest 1\n2\nD0 6\nD1 4\nD2 2\n", 5},
+      {"bad dimension count", "sncube-manifest 1\n0\n", 2},
+      {"bad header", "sncube-manifest 2\n2\nD0 6\nD1 4\n", 1},
+      {"ascending cardinalities", "sncube-manifest 1\n2\nD0 4\nD1 6\n", 4},
+  };
+  ViewStore store(dir_);
+  store.SaveCube(CubeResult{}, schema);
+  EXPECT_EQ(store.LoadSchema().cardinality(1), 4u);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::ofstream(manifest, std::ios::trunc) << c.text;
+    try {
+      store.LoadSchema();
+      ADD_FAILURE() << "expected SncubeCorruptionError";
+    } catch (const SncubeCorruptionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
+      EXPECT_NE(what.find("line " + std::to_string(c.line)), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST_F(ViewStoreTest, LoadRejectsOrderThatIsNotAPermutation) {
+  const ViewId ab = ViewId::FromDims({0, 1});
+  ViewStore store(dir_);
+  const Schema schema({4, 4, 4});
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 0}, std::vector<int>{0, 2}, std::vector<int>{1},
+        std::vector<int>{1, 0, 1}}) {
+    SCOPED_TRACE("order size " + std::to_string(order.size()));
+    // The writer persists whatever order a view claims; the reader must not
+    // believe one that cannot describe the view's rows.
+    store.SaveCube(OneView(MakeView(ab, order, 4)), schema);
+    EXPECT_THROW(store.Load(ab), SncubeCorruptionError);
+    EXPECT_THROW(store.LoadCube(), SncubeCorruptionError);
+    EXPECT_THROW(DecodeViewFrame(EncodeViewFrame(7, MakeView(ab, order, 4)),
+                                 7, ab),
+                 SncubeCorruptionError);
+  }
+
+  // The 2-byte edit of a genuine file: order [0,1] becomes [0,0]. The order
+  // bytes follow magic, version, mask, width and the u64 length.
+  store.SaveCube(OneView(MakeView(ab, {0, 1}, 4)), schema);
+  EXPECT_EQ(store.Load(ab).order, (std::vector<int>{0, 1}));
+  {
+    std::fstream f(dir_ / "v00003.sncv",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(24);
+    f.put('\0').put('\0');
+  }
+  EXPECT_THROW(store.Load(ab), SncubeCorruptionError);
+}
+
+TEST_F(ViewStoreTest, ViewFrameRoundTripsAndChecksItsTag) {
+  ViewResult vr = MakeView(ViewId::FromDims({0, 2}), {2, 0}, 9);
+  vr.selected = false;
+  const ByteBuffer frame = EncodeViewFrame(42, vr);
+  const ViewResult back = DecodeViewFrame(frame, 42, vr.id);
+  EXPECT_EQ(back.id, vr.id);
+  EXPECT_EQ(back.order, vr.order);
+  EXPECT_EQ(back.rel, vr.rel);
+  EXPECT_FALSE(back.selected);
+  EXPECT_THROW(DecodeViewFrame(frame, 41, vr.id), SncubeCorruptionError);
+  EXPECT_THROW(DecodeViewFrame(frame, 42, ViewId::FromDims({0})),
+               SncubeCorruptionError);
+
+  // The frame carries the cube file's view bytes unchanged after its tag
+  // and selected byte.
+  ViewStore store(dir_);
+  vr.selected = true;
+  store.SaveCube(OneView(vr), Schema({4, 4, 4}));
+  std::ifstream in(dir_ / "v00005.sncv", std::ios::binary);
+  const std::string file(std::istreambuf_iterator<char>(in), {});
+  ASSERT_EQ(frame.size(), 9 + file.size());
+  EXPECT_TRUE(std::equal(file.begin(), file.end(), frame.begin() + 9,
+                         [](char a, std::byte b) {
+                           return static_cast<std::byte>(a) == b;
+                         }));
 }
 
 }  // namespace

@@ -543,7 +543,8 @@ int CmdRefresh(const Args& args) {
       MergeDeltaCube(base, ComputeDeltaCube(delta, schema, base));
 
   // Optionally commit the refreshed cube into a crash-safe snapshot store
-  // as the epoch after the newest committed one (1 for a fresh store).
+  // as the epoch after the newest committed one (1 for a fresh store). Like
+  // the RefreshCoordinator, keep only the new epoch and its predecessor.
   std::uint64_t epoch = 0;
   if (const auto snap_dir = args.Get("snapshot-dir")) {
     DiskModel disk;
@@ -551,6 +552,7 @@ int CmdRefresh(const Args& args) {
     epoch = snap.Recover().epoch + 1;
     snap.WriteEpoch(epoch, merged);
     snap.AppendCommit(epoch);
+    snap.RemoveEpochDirsBelow(epoch - 1);
   }
   ViewStore out(cube_dir);
   out.SaveCube(merged, schema);
