@@ -1,7 +1,6 @@
 #include "relation/csv.h"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -19,14 +18,11 @@ namespace {
                          std::to_string(column) + ": " + problem);
 }
 
-// The whole of `cell` as a T. from_chars takes no sign on unsigned types and
-// no blanks, and reports values outside T's range.
+// The whole of `cell` as a T, or a rejection naming line and column.
 template <typename T>
 T ParseCell(std::string_view cell, std::size_t line, std::size_t column) {
   T value{};
-  const char* end = cell.data() + cell.size();
-  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
+  if (!ParseWhole(cell, value)) {
     Reject(line, column,
            "\"" + std::string(cell) + "\" is not an integer in [" +
                std::to_string(std::numeric_limits<T>::min()) + ", " +

@@ -3,8 +3,11 @@
 // and a view written as CSV loads straight into one.
 #pragma once
 
+#include <charconv>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "relation/relation.h"
@@ -23,5 +26,16 @@ void WriteCsv(std::ostream& os, const Relation& rel,
 // decimal integer: keys in [0, 2^32), the measure an int64 ('\r' line ends
 // are fine). Anything else throws SncubeInputError naming line and column.
 Relation ReadCsv(std::istream& is);
+
+// Parses the whole of `text` as an integer T in `base` into `value`:
+// from_chars takes no sign on unsigned types and no blanks, and reports
+// values outside T's range. False when `text` is anything but one such
+// number.
+template <typename T>
+bool ParseWhole(std::string_view text, T& value, int base = 10) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace sncube
