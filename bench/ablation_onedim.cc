@@ -33,7 +33,7 @@ OneDimResult RunOneDim(const DatasetSpec& spec, int p) {
   cluster.Run([&](Comm& comm) {
     const Relation local = GenerateSlice(spec, p, comm.rank());
     OneDimStats st;
-    OneDimPartitionCube(comm, local, schema, AggFn::kSum, &st);
+    OneDimPartitionCube(comm, local, schema, &st);
     stats[comm.rank()] = st;
   });
   return {cluster.SimTimeSeconds(), stats[0].partition_imbalance};

@@ -31,7 +31,7 @@ WorkPartResult RunWorkPart(const DatasetSpec& spec, int p) {
   std::vector<WorkPartitionStats> stats(static_cast<std::size_t>(p));
   cluster.Run([&](Comm& comm) {
     WorkPartitionStats st;
-    WorkPartitionCube(comm, whole, schema, AggFn::kSum, &st);
+    WorkPartitionCube(comm, whole, schema, &st);
     stats[static_cast<std::size_t>(comm.rank())] = st;
   });
   return {cluster.SimTimeSeconds(), stats[0].estimated_imbalance,

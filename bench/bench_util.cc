@@ -147,10 +147,9 @@ double RunSequentialSeconds(const DatasetSpec& spec,
     const Relation raw = GenerateSlice(spec, 1, 0);
     ExecStats stats;
     if (full) {
-      SequentialPipesortCube(raw, schema, AggFn::kSum, &comm.disk(), &stats);
+      SequentialPipesortCube(raw, schema, &comm.disk(), &stats);
     } else {
-      SequentialCube(raw, schema, selected, AggFn::kSum, &comm.disk(),
-                     &stats);
+      SequentialCube(raw, schema, selected, &comm.disk(), &stats);
     }
     comm.ChargeScanRecords(stats.records_scanned + stats.rows_emitted);
     comm.ChargeCpu(stats.sort_cost_units * comm.cost().cpu_sort_record_s);

@@ -72,7 +72,7 @@ void BM_EstimatorAccuracy(benchmark::State& state) {
       const auto dims = v.DimList();
       const std::vector<int> cols(dims.begin(), dims.end());
       const auto actual = static_cast<double>(
-          SortAndAggregate(data, cols, AggFn::kSum).size());
+          SortAndAggregate(data, cols).size());
       analytic_err += std::abs(analytic.EstimateRows(v) - actual) / actual;
       fm_err += std::abs(fm.EstimateRows(v) - actual) / actual;
     }

@@ -52,7 +52,7 @@ void BM_SortAndAggregate(benchmark::State& state) {
   const Relation rel = MakeData(state.range(0), 4, 16, 2);
   const std::vector<int> cols{0, 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SortAndAggregate(rel, cols, AggFn::kSum));
+    benchmark::DoNotOptimize(SortAndAggregate(rel, cols));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -128,7 +128,7 @@ void BM_PerViewSortFullCube(benchmark::State& state) {
     for (ViewId v : AllViews(6)) {
       const auto dims = v.DimList();
       const std::vector<int> cols(dims.begin(), dims.end());
-      rows += SortAndAggregate(raw, cols, AggFn::kSum).size();
+      rows += SortAndAggregate(raw, cols).size();
     }
     benchmark::DoNotOptimize(rows);
   }

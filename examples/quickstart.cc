@@ -39,8 +39,7 @@ int main() {
   // Materialize the full cube (all 2^4 = 16 views).
   WallTimer timer;
   ExecStats stats;
-  const CubeResult cube = SequentialPipesortCube(raw, schema, AggFn::kSum,
-                                                 nullptr, &stats);
+  const CubeResult cube = SequentialPipesortCube(raw, schema, nullptr, &stats);
   std::printf("built %zu views, %llu total rows, in %.2fs "
               "(%llu sorts, %llu pipeline scans)\n",
               cube.views.size(),

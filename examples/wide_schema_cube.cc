@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   WallTimer timer;
   ExecStats stats;
   const CubeResult cube =
-      SequentialCube(raw, schema, selected, AggFn::kSum, nullptr, &stats,
+      SequentialCube(raw, schema, selected, nullptr, &stats,
                      PartialStrategy::kGreedyLattice);
   std::printf("built in %.2f s host time: %llu rows across %zu views "
               "(+%zu auxiliary roots), %llu sorts\n",

@@ -360,7 +360,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
           const std::size_t last = vr.rel.size() - 1;
           SNCUBE_DCHECK(CompareRows(vr.rel, last, row, 0) == 0);
           vr.rel.measure(last) =
-              CombineMeasure(opts.fn, vr.rel.measure(last), row.measure(0));
+              CombineMeasure(vr.rel.measure(last), row.measure(0));
         }
       } else if (plan.kase == ViewPlan::kCase2) {
         if (stats != nullptr) stats->case2_views += 1;
@@ -407,7 +407,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
         }
         comm.ChargeScanRecords(region.size());
         comm.disk().ChargeRead((kept.size() - split) * kept.RowBytes());
-        Relation collapsed = CollapseSorted(region, opts.fn);
+        Relation collapsed = CollapseSorted(region);
         comm.disk().ChargeWrite(collapsed.ByteSize());
 
         Relation merged(kept.width());
@@ -429,7 +429,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
     Relation sorted = AdaptiveSampleSort(comm, std::move(vr.rel), plan.cols,
                                          opts.gamma);
     comm.ChargeScanRecords(sorted.size());
-    vr.rel = CollapseSorted(sorted, opts.fn);
+    vr.rel = CollapseSorted(sorted);
     comm.disk().ChargeWrite(vr.rel.ByteSize());
     if (stats != nullptr) stats->case3_views += 1;
   }
@@ -466,7 +466,7 @@ void MergePartitions(Comm& comm, CubeResult& cube,
           const std::size_t last = vr.rel.size() - 1;
           SNCUBE_DCHECK(CompareRows(vr.rel, last, row, 0) == 0);
           vr.rel.measure(last) =
-              CombineMeasure(opts.fn, vr.rel.measure(last), row.measure(0));
+              CombineMeasure(vr.rel.measure(last), row.measure(0));
         }
       }
     }

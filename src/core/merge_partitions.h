@@ -64,7 +64,6 @@ std::size_t SampledRowsLessEq(const Relation& sorted,
                               std::span<const Key> key, std::size_t capacity);
 
 struct MergeOptions {
-  AggFn fn = AggFn::kSum;
   // Balance threshold γ distinguishing Case 2 from Case 3 (paper: 3%).
   double gamma = 0.03;
   // Ablation switch: treat every non-prefix view as Case 3.

@@ -14,8 +14,7 @@
 namespace sncube {
 
 CubeResult OneDimPartitionCube(Comm& comm, const Relation& local_raw,
-                               const Schema& schema, AggFn fn,
-                               OneDimStats* stats) {
+                               const Schema& schema, OneDimStats* stats) {
   SNCUBE_CHECK(local_raw.width() == schema.dims());
   const int p = comm.size();
   const int d = schema.dims();
@@ -58,8 +57,8 @@ CubeResult OneDimPartitionCube(Comm& comm, const Relation& local_raw,
   // Local full cube over the slice.
   comm.SetPhase("compute");
   ExecStats exec;
-  CubeResult cube = SequentialCube(slice, schema, AllViews(d), fn,
-                                   &comm.disk(), &exec);
+  CubeResult cube =
+      SequentialCube(slice, schema, AllViews(d), &comm.disk(), &exec);
   comm.ChargeScanRecords(exec.records_scanned + exec.rows_emitted);
   // Pipeline sorts run on the rank's exec pool: charge span, like
   // ChargeExecStats in parallel_cube.cc.
@@ -88,15 +87,13 @@ CubeResult OneDimPartitionCube(Comm& comm, const Relation& local_raw,
     comm.disk().ChargeRead(vr.rel.ByteSize());
     Relation sorted = AdaptiveSampleSort(comm, std::move(vr.rel), cols, 0.03);
     comm.ChargeScanRecords(sorted.size());
-    vr.rel = CollapseSorted(sorted, fn);
+    vr.rel = CollapseSorted(sorted);
     // Boundary groups may straddle ranks after the row-granular sort; the
     // parallel-cube merge handles that with its prefix fixup, which we
     // borrow by treating the canonical order as the "global" order.
     CubeResult one;
     one.views[id] = std::move(vr);
-    MergeOptions mo;
-    mo.fn = fn;
-    MergePartitions(comm, one, canonical, mo);
+    MergePartitions(comm, one, canonical, MergeOptions{});
     cube.views[id] = std::move(one.views.at(id));
   }
   return cube;

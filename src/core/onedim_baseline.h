@@ -29,7 +29,7 @@ struct OneDimStats {
 // Computes the full cube with D0-only partitioning. Same output contract as
 // BuildParallelCube (per-rank shards of every view).
 CubeResult OneDimPartitionCube(Comm& comm, const Relation& local_raw,
-                               const Schema& schema, AggFn fn = AggFn::kSum,
+                               const Schema& schema,
                                OneDimStats* stats = nullptr);
 
 }  // namespace sncube

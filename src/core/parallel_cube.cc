@@ -149,7 +149,7 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     step.Switch("partition", i);
     ExecStats root_stats;
     Relation root_local = ComputeRootData(local_raw, root, root_order,
-                                          opts.fn, &comm.disk(), &root_stats);
+                                          &comm.disk(), &root_stats);
     ChargeExecStats(comm, root_stats);
     if (stats != nullptr) stats->exec += root_stats;
 
@@ -165,7 +165,7 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     }
     // Step 1c: recompute the root for the received range (local dedup).
     comm.ChargeScanRecords(root_sorted.size());
-    Relation root_data = CollapseSorted(root_sorted, opts.fn);
+    Relation root_data = CollapseSorted(root_sorted);
     root_sorted.Clear();
 
     // ---- Step 2: local Di-partition computation -------------------------
@@ -196,7 +196,7 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     // shows every pipeline with its own simulated extent; the increments sum
     // to exec_stats, so total sim cost is identical to batch charging.
     CubeResult cube = ExecuteScheduleTree(
-        tree, std::move(root_data), opts.fn, &comm.disk(), &exec_stats,
+        tree, std::move(root_data), &comm.disk(), &exec_stats,
         [&comm](const ExecStats& d) { ChargeExecStats(comm, d); });
     if (stats != nullptr) stats->exec += exec_stats;
 
@@ -204,7 +204,6 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     comm.SetPhase("merge" + tag);
     step.Switch("merge", i);
     MergeOptions merge_opts;
-    merge_opts.fn = opts.fn;
     merge_opts.gamma = opts.gamma_merge;
     merge_opts.force_case3 = opts.force_case3;
     MergeStats merge_stats;

@@ -38,7 +38,6 @@ enum class EstimatorKind {
 };
 
 struct ParallelCubeOptions {
-  AggFn fn = AggFn::kSum;
   // γ for Merge–Partitions Case 2/3 and its internal re-sorts (paper: 3%).
   double gamma_merge = 0.03;
   TreeMode tree_mode = TreeMode::kGlobal;

@@ -63,7 +63,7 @@ std::vector<int> AssignLpt(const std::vector<Pipeline>& pipelines, int p,
 }  // namespace
 
 CubeResult WorkPartitionCube(Comm& comm, const Relation& shared_raw,
-                             const Schema& schema, AggFn fn,
+                             const Schema& schema,
                              WorkPartitionStats* stats) {
   SNCUBE_CHECK(shared_raw.width() == schema.dims());
   const int d = schema.dims();
@@ -117,7 +117,7 @@ CubeResult WorkPartitionCube(Comm& comm, const Relation& shared_raw,
     for (int node : pipe.nodes) {
       const ScheduleNode& n = tree.node(node);
       const std::vector<int> view_cols(n.order.begin(), n.order.end());
-      Relation agg = AggregateSortedPrefix(sorted, view_cols, fn);
+      Relation agg = AggregateSortedPrefix(sorted, view_cols);
       // agg's columns follow n.order; restore the canonical layout.
       std::vector<int> perm;
       perm.reserve(n.order.size());

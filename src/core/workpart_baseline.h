@@ -36,7 +36,7 @@ struct WorkPartitionStats {
 // relation. Returns this rank's views (views assigned elsewhere are present
 // with empty relations so all ranks agree on the view set).
 CubeResult WorkPartitionCube(Comm& comm, const Relation& shared_raw,
-                             const Schema& schema, AggFn fn = AggFn::kSum,
+                             const Schema& schema,
                              WorkPartitionStats* stats = nullptr);
 
 }  // namespace sncube

@@ -83,8 +83,7 @@ QueryAnswer CubeQueryEngine::Execute(const Query& query) const {
     }
     projected.Append(keys, vr.rel.measure(r));
   }
-  answer.rel =
-      SortAndAggregate(projected, IdentityOrder(projected.width()), query.fn);
+  answer.rel = SortAndAggregate(projected, IdentityOrder(projected.width()));
 
   answer.rel = TopKByMeasure(answer.rel, query.top_k);
   return answer;

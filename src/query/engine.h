@@ -29,7 +29,6 @@ struct DimFilter {
 struct Query {
   ViewId group_by;
   std::vector<DimFilter> filters;
-  AggFn fn = AggFn::kSum;
   // When > 0: return only the top_k groups by measure, descending (ties by
   // key ascending) — ORDER BY measure DESC LIMIT k. 0 = all groups, key
   // order.

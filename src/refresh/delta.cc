@@ -10,41 +10,17 @@
 namespace sncube {
 
 CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
-                            const CubeResult& base, AggFn fn, DiskModel* disk,
+                            const CubeResult& base, DiskModel* disk,
                             ExecStats* stats, PartialStrategy strategy) {
   if (delta.empty()) return CubeResult{};
   std::vector<ViewId> views;
   views.reserve(base.views.size());
   for (const auto& [id, vr] : base.views) views.push_back(id);
-  return SequentialCube(delta, schema, views, fn, disk, stats, strategy);
+  return SequentialCube(delta, schema, views, disk, stats, strategy);
 }
 
-Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
-                               std::span<const int> cols, AggFn fn) {
-  SNCUBE_CHECK(a.width() == b.width());
-  Relation out(a.width());
-  out.Reserve(a.size() + b.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = CompareRows(a, i, cols, b, j, cols);
-    if (cmp < 0) {
-      out.AppendRow(a, i++);
-    } else if (cmp > 0) {
-      out.AppendRow(b, j++);
-    } else {
-      out.Append(a.RowKeys(i), CombineMeasure(fn, a.measure(i), b.measure(j)));
-      ++i;
-      ++j;
-    }
-  }
-  while (i < a.size()) out.AppendRow(a, i++);
-  while (j < b.size()) out.AppendRow(b, j++);
-  return out;
-}
-
-CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
-                          AggFn fn) {
+CubeResult MergeDeltaCube(const CubeResult& base,
+                          const CubeResult& delta_cube) {
   CubeResult merged;
   for (const auto& [id, vr] : base.views) {
     ViewResult out;
@@ -65,7 +41,7 @@ CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
       if (it->second.order != vr.order) {
         delta_rows = SortRelation(delta_rows, cols);
       }
-      out.rel = MergeAggregateByOrder(vr.rel, delta_rows, cols, fn);
+      out.rel = MergeSortedAggregate(vr.rel, delta_rows, cols);
     }
     merged.views.emplace(id, std::move(out));
   }

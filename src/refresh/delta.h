@@ -1,14 +1,13 @@
 // Delta ingestion for online cube refresh (DESIGN.md §14).
 //
 // A DELTA is a relation of newly arrived facts in the schema's canonical
-// layout — insert-only, the OLAP-warehouse norm. Because every supported
-// aggregate distributes over a disjoint union of fact sets
-// (sum/min/max: agg(base ∪ delta) = combine(agg(base), agg(delta))), a
-// refresh never re-scans the base facts: it cubes the (small) delta with the
-// very same Section 3 machinery the initial build used — partial schedule
-// tree over the base cube's views, Pipesort per edge — and then merges the
-// delta cube into the base cube view by view with one linear merge pass per
-// view.
+// layout — insert-only, the OLAP-warehouse norm. Because the cube's SUM
+// distributes over a disjoint union of fact sets (sum(base ∪ delta) =
+// sum(base) + sum(delta)), a refresh never re-scans the base facts: it cubes
+// the (small) delta with the very same Section 3 machinery the initial build
+// used — partial schedule tree over the base cube's views, Pipesort per edge
+// — and then merges the delta cube into the base cube view by view with one
+// linear merge pass per view.
 //
 // The merge is ORDER-PRESERVING: each merged view keeps the base view's sort
 // order (delta rows are re-sorted to it first), so a refreshed cube is
@@ -17,7 +16,6 @@
 // scatter merging (MergeSortedAggregate), and golden byte comparisons.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "io/disk.h"
@@ -30,25 +28,15 @@ namespace sncube {
 
 // Cubes the delta over every view of `base` (auxiliaries included), reusing
 // the Section 3 partial build (BuildPartialTree + pipelined execution).
-// Distributive aggregates make every materialized view sensitive to any new
-// fact, so no view can be skipped for a non-empty delta; an empty delta
-// yields an empty cube, which MergeDeltaCube passes through unchanged.
-// Costs land on `disk` / `stats` like any build.
+// SUM makes every materialized view sensitive to any new fact, so no view
+// can be skipped for a non-empty delta; an empty delta yields an empty cube,
+// which MergeDeltaCube passes through unchanged. Costs land on `disk` /
+// `stats` like any build.
 CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
-                            const CubeResult& base,
-                            AggFn fn = AggFn::kSum, DiskModel* disk = nullptr,
+                            const CubeResult& base, DiskModel* disk = nullptr,
                             ExecStats* stats = nullptr,
                             PartialStrategy strategy =
                                 PartialStrategy::kPrunedPipesort);
-
-// Merges two same-width relations that are BOTH sorted lexicographically by
-// column positions `cols`, combining equal-key rows with `fn`. The general-
-// order sibling of MergeSortedAggregate (relation/aggregate.h), which only
-// handles the all-columns-ascending case — view rows are sorted by the
-// view's own order, not the canonical one, so the refresh merge needs the
-// permuted comparator. Output stays sorted by `cols`.
-Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
-                               std::span<const int> cols, AggFn fn);
 
 // The refreshed cube: every view of `base` merged with its counterpart in
 // `delta_cube` (views the delta cube lacks pass through unchanged — an empty
@@ -57,7 +45,7 @@ Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
 // merge. `base` is untouched — the result is a fresh CubeResult, immutable
 // once handed to the serving tier like any other (epoch snapshots depend on
 // this).
-CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
-                          AggFn fn = AggFn::kSum);
+CubeResult MergeDeltaCube(const CubeResult& base,
+                          const CubeResult& delta_cube);
 
 }  // namespace sncube

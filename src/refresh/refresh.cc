@@ -40,12 +40,11 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
   std::shared_ptr<const CubeResult> next;
   {
     SNCUBE_TRACE_SPAN("refresh-delta-cube");
-    CubeResult delta_cube = ComputeDeltaCube(delta, schema_, *current_,
-                                             options_.fn, &disk_, nullptr,
-                                             options_.strategy);
+    CubeResult delta_cube = ComputeDeltaCube(delta, schema_, *current_, &disk_,
+                                             nullptr, options_.strategy);
     SNCUBE_TRACE_SPAN("refresh-merge");
     next = std::make_shared<const CubeResult>(
-        MergeDeltaCube(*current_, delta_cube, options_.fn));
+        MergeDeltaCube(*current_, delta_cube));
   }
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("refresh.delta_rows").Add(delta.size());

@@ -54,7 +54,6 @@ namespace sncube {
 
 struct RefreshOptions {
   std::string dir;  // snapshot store root (required)
-  AggFn fn = AggFn::kSum;
   PartialStrategy strategy = PartialStrategy::kPrunedPipesort;
   // Borrowed, optional. The coordinator acts as RANK 0 of this injector:
   // refreshkill clauses crash it at phase entries, and the injector is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -29,21 +28,11 @@ bool ParseEpochDirName(const std::string& name, std::uint64_t* epoch) {
   return true;
 }
 
-// The manifest's durable prefix, reduced. Its first line that fails its
-// seal or does not parse ends it, exactly like the checkpoint manifest.
-struct Manifest {
-  // Per epoch, the view masks its newest prepare record names: exactly the
-  // view files the epoch consists of (trusting a directory listing instead
-  // would resurrect torn writes).
-  std::map<std::uint64_t, std::vector<std::uint32_t>> prepared;
-  // Epochs whose commit record follows a prepare record for them, in record
-  // order (ascending swaps).
-  std::vector<std::uint64_t> committed;
-};
+}  // namespace
 
-Manifest ReadManifest(const std::filesystem::path& path) {
-  Manifest manifest;
-  for (const std::string& text : ReadSealedLines(path)) {
+SnapshotManifest SnapshotStore::ReadManifest() const {
+  SnapshotManifest manifest;
+  for (const std::string& text : ReadSealedLines(ManifestPath())) {
     std::istringstream ls(text);
     std::string tag;
     std::uint64_t epoch = 0;
@@ -64,8 +53,6 @@ Manifest ReadManifest(const std::filesystem::path& path) {
   }
   return manifest;
 }
-
-}  // namespace
 
 SnapshotStore::SnapshotStore(std::string dir, DiskModel& disk)
     : dir_(std::move(dir)), disk_(disk) {
@@ -140,7 +127,7 @@ void SnapshotStore::RemoveEpochDirsBelow(std::uint64_t epoch) {
 
 RecoveredSnapshot SnapshotStore::Recover() {
   RecoveredSnapshot out;
-  const Manifest manifest = ReadManifest(ManifestPath());
+  const SnapshotManifest manifest = ReadManifest();
   const std::vector<std::uint64_t>& committed = manifest.committed;
 
   // 1. Newest committed epoch whose files all verify wins; a damaged one has

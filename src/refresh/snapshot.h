@@ -38,9 +38,11 @@
 // produced in full — never a blend.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,27 @@
 #include "seqcube/cube_result.h"
 
 namespace sncube {
+
+// The manifest's durable prefix, reduced. Its first line that fails its seal
+// or does not parse ends it, exactly like the checkpoint manifest.
+struct SnapshotManifest {
+  // Per epoch, the view masks its newest prepare record names: exactly the
+  // view files the epoch consists of (trusting a directory listing instead
+  // would resurrect torn writes).
+  std::map<std::uint64_t, std::vector<std::uint32_t>> prepared;
+  // Epochs whose commit record follows a prepare record for them, in record
+  // order (ascending swaps).
+  std::vector<std::uint64_t> committed;
+
+  // The newest committed epoch, 0 when none. A refresh numbers its epoch one
+  // past this — never past what Recover serves, which may be older when the
+  // newest epoch's files are damaged — so no epoch number is committed twice.
+  std::uint64_t LastCommitted() const {
+    return committed.empty()
+               ? 0
+               : *std::max_element(committed.begin(), committed.end());
+  }
+};
 
 struct RecoveredSnapshot {
   // False when no committed epoch could be loaded — the store is empty, its
@@ -92,6 +115,9 @@ class SnapshotStore {
   // history). The coordinator calls this with serving_epoch - 1 so the
   // predecessor stays on disk for fallback.
   void RemoveEpochDirsBelow(std::uint64_t epoch);
+
+  // Reads and reduces the manifest alone; no view file is touched.
+  SnapshotManifest ReadManifest() const;
 
   // Restart entry point; see the file comment for the protocol.
   RecoveredSnapshot Recover();

@@ -1,8 +1,16 @@
 #include "relation/aggregate.h"
 
+#include <string>
+
 #include "common/status.h"
 
 namespace sncube {
+
+void ThrowSumOverflow(Measure a, Measure b) {
+  throw SncubeInputError("SUM overflows int64: " + std::to_string(a) + " + " +
+                         std::to_string(b));
+}
+
 namespace {
 
 bool SamePrefix(const Relation& rel, std::size_t a, std::size_t b,
@@ -16,7 +24,7 @@ bool SamePrefix(const Relation& rel, std::size_t a, std::size_t b,
 }  // namespace
 
 Relation AggregateSortedPrefix(const Relation& sorted,
-                               std::span<const int> cols, AggFn fn) {
+                               std::span<const int> cols) {
   Relation out(static_cast<int>(cols.size()));
   if (sorted.empty()) return out;
   SNCUBE_DCHECK(IsSorted(sorted, cols));
@@ -32,7 +40,7 @@ Relation AggregateSortedPrefix(const Relation& sorted,
   Measure acc = sorted.measure(0);
   for (std::size_t row = 1; row < sorted.size(); ++row) {
     if (SamePrefix(sorted, row - 1, row, cols)) {
-      acc = CombineMeasure(fn, acc, sorted.measure(row));
+      acc = CombineMeasure(acc, sorted.measure(row));
     } else {
       out.Append(group, acc);
       load_group(row);
@@ -43,25 +51,25 @@ Relation AggregateSortedPrefix(const Relation& sorted,
   return out;
 }
 
-Relation SortAndAggregate(const Relation& rel, std::span<const int> cols,
-                          AggFn fn) {
-  return AggregateSortedPrefix(SortRelation(rel, cols), cols, fn);
+Relation SortAndAggregate(const Relation& rel, std::span<const int> cols) {
+  return AggregateSortedPrefix(SortRelation(rel, cols), cols);
 }
 
-Relation MergeSortedAggregate(const Relation& a, const Relation& b, AggFn fn) {
+Relation MergeSortedAggregate(const Relation& a, const Relation& b,
+                              std::span<const int> cols) {
   SNCUBE_CHECK(a.width() == b.width());
   Relation out(a.width());
   out.Reserve(a.size() + b.size());
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.size() && j < b.size()) {
-    const int cmp = CompareRows(a, i, b, j);
+    const int cmp = CompareRows(a, i, cols, b, j, cols);
     if (cmp < 0) {
       out.AppendRow(a, i++);
     } else if (cmp > 0) {
       out.AppendRow(b, j++);
     } else {
-      out.Append(a.RowKeys(i), CombineMeasure(fn, a.measure(i), b.measure(j)));
+      out.Append(a.RowKeys(i), CombineMeasure(a.measure(i), b.measure(j)));
       ++i;
       ++j;
     }
@@ -71,7 +79,7 @@ Relation MergeSortedAggregate(const Relation& a, const Relation& b, AggFn fn) {
   return out;
 }
 
-Relation CollapseSorted(const Relation& sorted, AggFn fn) {
+Relation CollapseSorted(const Relation& sorted) {
   Relation out(sorted.width());
   if (sorted.empty()) return out;
   out.Reserve(sorted.size());
@@ -79,7 +87,7 @@ Relation CollapseSorted(const Relation& sorted, AggFn fn) {
   Measure acc = sorted.measure(0);
   for (std::size_t row = 1; row < sorted.size(); ++row) {
     if (CompareRows(sorted, run, sorted, row) == 0) {
-      acc = CombineMeasure(fn, acc, sorted.measure(row));
+      acc = CombineMeasure(acc, sorted.measure(row));
     } else {
       out.Append(sorted.RowKeys(run), acc);
       run = row;

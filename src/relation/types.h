@@ -3,7 +3,7 @@
 // Dimension attributes are dense 32-bit codes (a real deployment would map
 // dictionary-encoded dimension values to these codes; the paper's synthetic
 // workloads generate codes directly). The measure is a 64-bit integer and
-// aggregation is any commutative, associative combine over it.
+// the cube's one aggregate is SUM over it (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -13,20 +13,20 @@ namespace sncube {
 using Key = std::uint32_t;      // one dimension attribute value
 using Measure = std::int64_t;   // the aggregated fact measure
 
-// Distributive aggregate functions supported by the cube. COUNT is SUM over
-// a measure column of all-ones, which is how the data generators encode it.
-enum class AggFn : std::uint8_t { kSum, kMin, kMax };
+// Throws SncubeInputError naming both operands; out of line so the checked
+// add below stays a single flag test in the scan loops.
+[[noreturn]] void ThrowSumOverflow(Measure a, Measure b);
 
-inline Measure CombineMeasure(AggFn fn, Measure a, Measure b) {
-  switch (fn) {
-    case AggFn::kSum:
-      return a + b;
-    case AggFn::kMin:
-      return a < b ? a : b;
-    case AggFn::kMax:
-      return a > b ? a : b;
+// The cube's aggregate: SUM, the one every stored view holds (COUNT is SUM
+// over a measure column of all-ones, which is how the data generators encode
+// it). A partial sum that leaves int64 is a typed input error, never a
+// wrapped value.
+inline Measure CombineMeasure(Measure a, Measure b) {
+  Measure sum;
+  if (__builtin_add_overflow(a, b, &sum)) [[unlikely]] {
+    ThrowSumOverflow(a, b);
   }
-  return a;  // unreachable
+  return sum;
 }
 
 }  // namespace sncube

@@ -38,12 +38,12 @@ std::vector<int> ColumnsOf(ViewId view, const std::vector<int>& dims) {
   return cols;
 }
 
-Relation BruteForceView(const Relation& raw, ViewId view, AggFn fn) {
+Relation BruteForceView(const Relation& raw, ViewId view) {
   const auto dims = view.DimList();
   // The raw relation's columns are the global dimensions in canonical
   // order, so dims double as column positions.
   std::vector<int> cols(dims.begin(), dims.end());
-  return SortAndAggregate(raw, cols, fn);
+  return SortAndAggregate(raw, cols);
 }
 
 Relation CanonicalizeRows(const Relation& rel) {

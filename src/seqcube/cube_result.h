@@ -50,7 +50,7 @@ std::vector<int> ColumnsOf(ViewId view, const std::vector<int>& dims);
 // Reference implementation: GROUP BY the view's dimensions over `raw` with a
 // full sort — the ground truth the optimized paths are tested against.
 // Result is in canonical order, rows sorted canonically.
-Relation BruteForceView(const Relation& raw, ViewId view, AggFn fn);
+Relation BruteForceView(const Relation& raw, ViewId view);
 
 // Normalizes a view relation for comparison: rows re-sorted canonically.
 Relation CanonicalizeRows(const Relation& rel);

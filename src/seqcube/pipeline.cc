@@ -29,7 +29,7 @@ struct ChainLevel {
 // root is already materialized; only descendants are emitted).
 void EmitChain(const ScheduleTree& tree, const Relation& source,
                const std::vector<int>& cols_seq, int head_node,
-               bool include_head, AggFn fn, DiskModel* disk, ExecStats* stats,
+               bool include_head, DiskModel* disk, ExecStats* stats,
                CubeResult& result) {
   // Collect the chain: head (optional) then scan descendants.
   std::vector<ChainLevel> levels;
@@ -97,7 +97,7 @@ void EmitChain(const ScheduleTree& tree, const Relation& source,
         flush(level);
         level.acc = source.measure(row);
       } else {
-        level.acc = CombineMeasure(fn, level.acc, source.measure(row));
+        level.acc = CombineMeasure(level.acc, source.measure(row));
       }
     }
     for (int k = changed; k < max_prefix; ++k) {
@@ -120,7 +120,7 @@ void EmitChain(const ScheduleTree& tree, const Relation& source,
 }  // namespace
 
 CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
-                               AggFn fn, DiskModel* disk, ExecStats* stats,
+                               DiskModel* disk, ExecStats* stats,
                                const PipelineChargeHook& on_pipeline) {
   tree.Validate();
   const ScheduleNode& root = tree.root();
@@ -157,7 +157,7 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
       const std::vector<int> cols_seq =
           ColumnsOf(root.view, tree.node(sc).order);
       EmitChain(tree, src, cols_seq, ScheduleTree::kRootIndex,
-                /*include_head=*/false, fn, disk, stats, result);
+                /*include_head=*/false, disk, stats, result);
     }
     charge_pipeline(before);
   }
@@ -190,8 +190,8 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
       const auto rows = static_cast<double>(parent_rel.size());
       stats->sort_cost_units += rows * std::log2(std::max(rows, 2.0));
     }
-    EmitChain(tree, sorted, sort_cols, i, /*include_head=*/true, fn, disk,
-              stats, result);
+    EmitChain(tree, sorted, sort_cols, i, /*include_head=*/true, disk, stats,
+              result);
     charge_pipeline(before);
   }
 

@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "io/disk.h"
-#include "relation/types.h"
 #include "schedule/schedule_tree.h"
 #include "seqcube/cube_result.h"
 
@@ -65,7 +64,7 @@ using PipelineChargeHook = std::function<void(const ExecStats& delta)>;
 // everything stays in memory uncharged. Stats accumulate into *stats when
 // given. The result contains every tree node (auxiliaries flagged).
 CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
-                               AggFn fn, DiskModel* disk = nullptr,
+                               DiskModel* disk = nullptr,
                                ExecStats* stats = nullptr,
                                const PipelineChargeHook& on_pipeline = {});
 

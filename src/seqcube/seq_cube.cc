@@ -13,7 +13,7 @@
 namespace sncube {
 
 Relation ComputeRootData(const Relation& raw, ViewId root,
-                         const std::vector<int>& root_order, AggFn fn,
+                         const std::vector<int>& root_order,
                          DiskModel* disk, ExecStats* stats) {
   if (root.empty()) {
     // The "all" root: one row, total aggregate.
@@ -26,7 +26,7 @@ Relation ComputeRootData(const Relation& raw, ViewId root,
     if (!raw.empty()) {
       Measure acc = raw.measure(0);
       for (std::size_t r = 1; r < raw.size(); ++r) {
-        acc = CombineMeasure(fn, acc, raw.measure(r));
+        acc = CombineMeasure(acc, raw.measure(r));
       }
       out.Append({}, acc);
     }
@@ -53,7 +53,7 @@ Relation ComputeRootData(const Relation& raw, ViewId root,
   // Aggregate on the root's dimensions (columns in root_order order), then
   // restore the canonical column layout. The row order — sorted by
   // root_order — is unaffected by the column permutation.
-  Relation agg = AggregateSortedPrefix(sorted, sort_cols, fn);
+  Relation agg = AggregateSortedPrefix(sorted, sort_cols);
   // agg's column j holds root_order[j]; canonical position of dim
   // root.DimList()[t] within agg is the index of that dim in root_order.
   std::vector<int> perm;
@@ -76,21 +76,19 @@ Relation ComputeRootData(const Relation& raw, ViewId root,
 }
 
 CubeResult SequentialPipesortCube(const Relation& raw, const Schema& schema,
-                                  AggFn fn, DiskModel* disk,
-                                  ExecStats* stats) {
+                                  DiskModel* disk, ExecStats* stats) {
   SNCUBE_CHECK(raw.width() == schema.dims());
   const int d = schema.dims();
   const ViewId root = ViewId::Full(d);
   const AnalyticEstimator est(schema, static_cast<double>(raw.size()));
   const ScheduleTree tree =
       BuildPipesortTree(AllViews(d), root, root.DimList(), est);
-  Relation root_data =
-      ComputeRootData(raw, root, root.DimList(), fn, disk, stats);
-  return ExecuteScheduleTree(tree, std::move(root_data), fn, disk, stats);
+  Relation root_data = ComputeRootData(raw, root, root.DimList(), disk, stats);
+  return ExecuteScheduleTree(tree, std::move(root_data), disk, stats);
 }
 
 CubeResult SequentialCube(const Relation& raw, const Schema& schema,
-                          const std::vector<ViewId>& selected, AggFn fn,
+                          const std::vector<ViewId>& selected,
                           DiskModel* disk, ExecStats* stats,
                           PartialStrategy strategy) {
   SNCUBE_CHECK(raw.width() == schema.dims());
@@ -104,9 +102,9 @@ CubeResult SequentialCube(const Relation& raw, const Schema& schema,
     const ScheduleTree tree =
         BuildPartialTree(partition, root, root.DimList(), est, strategy);
     Relation root_data =
-        ComputeRootData(raw, root, root.DimList(), fn, disk, stats);
+        ComputeRootData(raw, root, root.DimList(), disk, stats);
     CubeResult part =
-        ExecuteScheduleTree(tree, std::move(root_data), fn, disk, stats);
+        ExecuteScheduleTree(tree, std::move(root_data), disk, stats);
     for (auto& [id, vr] : part.views) {
       result.views[id] = std::move(vr);
     }

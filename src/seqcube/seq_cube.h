@@ -25,12 +25,11 @@ namespace sncube {
 // root_order — exactly what ExecuteScheduleTree expects. Charges disk/stats
 // like the pipeline executor.
 Relation ComputeRootData(const Relation& raw, ViewId root,
-                         const std::vector<int>& root_order, AggFn fn,
+                         const std::vector<int>& root_order,
                          DiskModel* disk = nullptr, ExecStats* stats = nullptr);
 
 // Full cube via one lattice-wide Pipesort tree.
 CubeResult SequentialPipesortCube(const Relation& raw, const Schema& schema,
-                                  AggFn fn = AggFn::kSum,
                                   DiskModel* disk = nullptr,
                                   ExecStats* stats = nullptr);
 
@@ -39,7 +38,7 @@ CubeResult SequentialPipesortCube(const Relation& raw, const Schema& schema,
 // intermediates appear in the result flagged selected = false.
 CubeResult SequentialCube(const Relation& raw, const Schema& schema,
                           const std::vector<ViewId>& selected,
-                          AggFn fn = AggFn::kSum, DiskModel* disk = nullptr,
+                          DiskModel* disk = nullptr,
                           ExecStats* stats = nullptr,
                           PartialStrategy strategy =
                               PartialStrategy::kPrunedPipesort);

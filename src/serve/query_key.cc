@@ -31,9 +31,8 @@ std::string CanonicalQueryKey(const Query& q) {
                 filters.end());
 
   std::string key;
-  key.reserve(4 * (6 + 2 * filters.size()));
+  key.reserve(4 * (5 + 2 * filters.size()));
   AppendU32(key, q.group_by.mask());
-  AppendU32(key, static_cast<std::uint32_t>(q.fn));
   AppendU32(key, static_cast<std::uint32_t>(q.top_k));
   // from_view changes which rows a SHARD-LOCAL answer covers (a slice of
   // view V and a slice of view W aggregate different row subsets), so it is

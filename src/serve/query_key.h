@@ -4,9 +4,9 @@
 // so the serialization normalizes everything the engine's semantics ignore:
 // filters are sorted by (dim, value), and duplicate filters collapse. The
 // key covers every field that can change the answer: group-by mask, filter
-// set, aggregate function, top_k, and the from_view pin (which changes what
-// a shard-local answer covers). It is a compact binary string (not
-// human-readable) sized for hash-map keys, not for transport.
+// set, top_k, and the from_view pin (which changes what a shard-local answer
+// covers). It is a compact binary string (not human-readable) sized for
+// hash-map keys, not for transport.
 #pragma once
 
 #include <string>

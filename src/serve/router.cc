@@ -322,6 +322,7 @@ RouterResult Router::Execute(const Query& query) {
     // (a group outside one slice's local top-k can win globally).
     sub.top_k = 0;
     Relation merged(query.group_by.dim_count());
+    const std::vector<int> cols = IdentityOrder(merged.width());
     std::uint64_t scanned = 0;
     out.outcome = RouterOutcome::kOk;
     for (int sl = 0; sl < shards_.shards(); ++sl) {
@@ -334,7 +335,12 @@ RouterResult Router::Execute(const Query& query) {
         out.outcome = MapOutcome(r.outcome);
         break;
       }
-      merged = MergeSortedAggregate(merged, r.answer->rel, query.fn);
+      try {
+        merged = MergeSortedAggregate(merged, r.answer->rel, cols);
+      } catch (const SncubeInputError&) {
+        out.outcome = RouterOutcome::kFailed;  // the SUM leaves int64
+        break;
+      }
       scanned += r.answer->rows_scanned;
     }
     if (out.outcome == RouterOutcome::kOk) {

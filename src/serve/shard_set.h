@@ -7,8 +7,8 @@
 // single row lives on slice 0). Because a slice keeps rows in their
 // original order, each slice view stays sorted by the view's sort order,
 // and because every source row lands in exactly one slice, per-slice
-// partial aggregates compose exactly (sum/min/max distribute over a
-// disjoint row partition).
+// partial aggregates compose exactly (SUM distributes over a disjoint row
+// partition).
 //
 // The composition rule has one sharp edge: it only holds when every slice
 // answers from the SAME view. Each view is partitioned by its own leading

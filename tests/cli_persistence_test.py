@@ -8,9 +8,15 @@ Covers what the C++ suites reach only below the CLI:
     cube directory byte-identical to a fault-free build (K=5 dies before any
     partition is saved, K=40 after some are, so the rerun restores them);
   * snapshot epochs: three `refresh --snapshot-dir S` runs report epochs
-    1, 2, 3, and only the newest two epoch directories remain;
+    1, 2, 3, and only the newest two epoch directories remain; after a frame
+    of epoch 1 is damaged, the next refresh still numbers its epoch 2, so
+    MANIFEST commits epoch 1 exactly once;
   * read commands on a missing cube directory exit non-zero and create
-    nothing.
+    nothing;
+  * a SUM past INT64_MAX fails the build (at --procs 1 and 2) with the typed
+    overflow error instead of storing a wrapped value;
+  * a flag the command does not take (a typo, or `query --min`: SUM is the
+    only aggregate) is a usage error (exit 2), not silently ignored.
 
 Usage:
     cli_persistence_test.py --binary build/tools/sncube
@@ -114,6 +120,59 @@ def main(argv):
         epochs = sorted(d for d in os.listdir(snaps) if d.startswith("epoch_"))
         check(epochs == ["epoch_2", "epoch_3"],
               f"snapshot dir holds {epochs}, expected epoch_2 and epoch_3")
+
+        # --- a damaged epoch does not give its number away ---------------
+        snaps = path("damaged_snaps")
+        delta = path("delta_1.csv")
+        for expected in (1, 2):
+            if expected == 2:
+                frames = sorted(os.listdir(os.path.join(snaps, "epoch_1")))
+                frame = os.path.join(snaps, "epoch_1", frames[0])
+                with open(frame, "r+b") as f:
+                    f.seek(8)
+                    byte = f.read(1)
+                    f.seek(8)
+                    f.write(bytes([byte[0] ^ 0xFF]))
+            refresh = sncube("refresh", "--cube", cube, "--delta", delta,
+                             "--snapshot-dir", snaps)
+            check(refresh.returncode == 0,
+                  f"damaged-epoch refresh failed: {refresh.stderr}")
+            if refresh.returncode == 0:
+                got = json.loads(refresh.stdout)["snapshot_epoch"]
+                check(got == expected,
+                      f"refresh after damage reported epoch {got}, expected "
+                      f"{expected}")
+        with open(os.path.join(snaps, "MANIFEST")) as f:
+            commits = [line for line in f if line.startswith("commit 1 ")]
+        check(len(commits) == 1,
+              f"MANIFEST holds {len(commits)} 'commit 1' records, expected 1")
+
+        # --- SUM overflow is a typed build error -------------------------
+        with open(path("overflow.csv"), "w") as f:
+            f.write("A,measure\n0,9223372036854775807\n0,1\n")
+        for procs in ("1", "2"):
+            out = path(f"overflow_cube_{procs}")
+            build = sncube("build", "--in", path("overflow.csv"), "--out", out,
+                           "--procs", procs)
+            check(build.returncode != 0,
+                  f"overflowing SUM built at --procs {procs}: {build.stdout}")
+            check("SUM overflows int64" in build.stderr,
+                  f"overflow build at --procs {procs} did not name the "
+                  f"overflow: {build.stderr}")
+
+        # --- unknown flags are usage errors ------------------------------
+        bogus = sncube("build", "--in", path("facts.csv"), "--out",
+                       path("bogus_cube"), "--thread-per-rank", "4",
+                       "--bogus", "1")
+        check(bogus.returncode == 2,
+              f"build with unknown flags exited {bogus.returncode}")
+        check(not os.path.exists(path("bogus_cube")),
+              "build with unknown flags wrote a cube")
+        for switch in ("--min", "--max"):
+            query = sncube("query", "--cube", path("ref"), "--group-by", "D0",
+                           switch)
+            check(query.returncode == 2,
+                  f"query {switch} exited {query.returncode}: {query.stdout}")
 
         # --- read commands need an existing cube -------------------------
         for command in (("info", "--cube", path("typo_dir")),

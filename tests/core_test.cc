@@ -326,7 +326,7 @@ ParallelRun RunParallelCube(int p, const DatasetSpec& spec,
 // Concatenated shards must equal the brute-force group-by of the whole
 // data set, with no group straddling a rank boundary.
 void ExpectCubeCorrect(const ParallelRun& run, const DatasetSpec& spec,
-                       const std::vector<ViewId>& selected, AggFn fn) {
+                       const std::vector<ViewId>& selected) {
   const Relation whole = GenerateDataset(spec);
   for (ViewId v : selected) {
     Relation combined(v.dim_count());
@@ -352,7 +352,7 @@ void ExpectCubeCorrect(const ParallelRun& run, const DatasetSpec& spec,
       }
       combined.Concat(Relation(vr.rel));
     }
-    const Relation expected = BruteForceView(whole, v, fn);
+    const Relation expected = BruteForceView(whole, v);
     const Relation actual = CanonicalizeRows(combined);
     ASSERT_EQ(actual.size(), expected.size()) << "view mask=" << v.mask();
     EXPECT_EQ(actual, expected) << "view mask=" << v.mask();
@@ -376,7 +376,7 @@ TEST(ParallelCube, FullCubeMatchesBruteForceAcrossP) {
     const auto spec = CubeSpec(4000, 100 + p);
     ParallelCubeOptions opts;
     const auto run = RunParallelCube(p, spec, selected, opts);
-    ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+    ExpectCubeCorrect(run, spec, selected);
   }
 }
 
@@ -385,7 +385,7 @@ TEST(ParallelCube, SkewedDataStillCorrect) {
   for (double alpha : {1.0, 3.0}) {
     const auto spec = CubeSpec(3000, 200, {alpha, alpha, 0.0, 0.0});
     const auto run = RunParallelCube(4, spec, selected, ParallelCubeOptions{});
-    ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+    ExpectCubeCorrect(run, spec, selected);
   }
 }
 
@@ -396,7 +396,7 @@ TEST(ParallelCube, LocalTreeModeCorrect) {
   opts.tree_mode = TreeMode::kLocal;
   opts.estimator = EstimatorKind::kFm;
   const auto run = RunParallelCube(4, spec, selected, opts);
-  ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+  ExpectCubeCorrect(run, spec, selected);
 }
 
 TEST(ParallelCube, PartialCubeSelections) {
@@ -409,7 +409,7 @@ TEST(ParallelCube, PartialCubeSelections) {
     ParallelCubeOptions opts;
     opts.partial_strategy = strategy;
     const auto run = RunParallelCube(3, spec, selected, opts);
-    ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+    ExpectCubeCorrect(run, spec, selected);
     // No auxiliary views in the output.
     for (const auto& shard : run.shards) {
       EXPECT_EQ(shard.views.size(), selected.size());
@@ -423,7 +423,7 @@ TEST(ParallelCube, ForceCase3AblationCorrect) {
   ParallelCubeOptions opts;
   opts.force_case3 = true;
   const auto run = RunParallelCube(4, spec, selected, opts);
-  ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+  ExpectCubeCorrect(run, spec, selected);
   EXPECT_EQ(run.stats[0].merge.case2_views, 0);
 }
 
@@ -434,7 +434,7 @@ TEST(ParallelCube, GammaSweepCorrect) {
     ParallelCubeOptions opts;
     opts.gamma_merge = gamma;
     const auto run = RunParallelCube(4, spec, selected, opts);
-    ExpectCubeCorrect(run, spec, selected, AggFn::kSum);
+    ExpectCubeCorrect(run, spec, selected);
   }
 }
 
@@ -478,44 +478,42 @@ TEST(ParallelCube, SimulatedTimeDropsWithP) {
   EXPECT_LT(t8, t2);
 }
 
-TEST(ParallelCube, MinMaxAggregates) {
+TEST(ParallelCube, SignedMeasureSums) {
+  // Signed, distinguishable measures: sums cancel and go negative, across
+  // every Merge-Partitions case a 3-rank build reaches.
   DatasetSpec spec = CubeSpec(1500, 900);
   const auto selected = AllViews(4);
-  for (AggFn fn : {AggFn::kMin, AggFn::kMax}) {
-    const Schema schema = spec.MakeSchema();
-    Cluster cluster(3);
-    std::vector<CubeResult> shards(3);
-    std::mutex mu;
-    cluster.Run([&](Comm& comm) {
-      Relation raw = GenerateSlice(spec, 3, comm.rank());
-      // Distinguishable measures derived from row content.
-      for (std::size_t r = 0; r < raw.size(); ++r) {
-        raw.measure(r) = static_cast<Measure>((raw.key(r, 0) * 7 + r) % 101) - 50;
-      }
-      ParallelCubeOptions opts;
-      opts.fn = fn;
-      CubeResult cube = BuildParallelCube(comm, raw, schema, selected, opts);
-      std::lock_guard<std::mutex> lock(mu);
-      shards[comm.rank()] = std::move(cube);
-    });
-    // Rebuild the whole measured data set the same way.
-    Relation whole(4);
-    for (int r = 0; r < 3; ++r) {
-      Relation slice = GenerateSlice(spec, 3, r);
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        slice.measure(i) =
-            static_cast<Measure>((slice.key(i, 0) * 7 + i) % 101) - 50;
-      }
-      whole.Concat(std::move(slice));
+  const Schema schema = spec.MakeSchema();
+  Cluster cluster(3);
+  std::vector<CubeResult> shards(3);
+  std::mutex mu;
+  cluster.Run([&](Comm& comm) {
+    Relation raw = GenerateSlice(spec, 3, comm.rank());
+    // Distinguishable measures derived from row content.
+    for (std::size_t r = 0; r < raw.size(); ++r) {
+      raw.measure(r) = static_cast<Measure>((raw.key(r, 0) * 7 + r) % 101) - 50;
     }
-    for (ViewId v : selected) {
-      Relation combined(v.dim_count());
-      for (const auto& shard : shards) {
-        combined.Concat(Relation(shard.views.at(v).rel));
-      }
-      EXPECT_EQ(CanonicalizeRows(combined), BruteForceView(whole, v, fn))
-          << "view mask=" << v.mask();
+    CubeResult cube = BuildParallelCube(comm, raw, schema, selected);
+    std::lock_guard<std::mutex> lock(mu);
+    shards[comm.rank()] = std::move(cube);
+  });
+  // Rebuild the whole measured data set the same way.
+  Relation whole(4);
+  for (int r = 0; r < 3; ++r) {
+    Relation slice = GenerateSlice(spec, 3, r);
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      slice.measure(i) =
+          static_cast<Measure>((slice.key(i, 0) * 7 + i) % 101) - 50;
     }
+    whole.Concat(std::move(slice));
+  }
+  for (ViewId v : selected) {
+    Relation combined(v.dim_count());
+    for (const auto& shard : shards) {
+      combined.Concat(Relation(shard.views.at(v).rel));
+    }
+    EXPECT_EQ(CanonicalizeRows(combined), BruteForceView(whole, v))
+        << "view mask=" << v.mask();
   }
 }
 
@@ -537,7 +535,7 @@ TEST(OneDimBaseline, CorrectButImbalancedUnderSkew) {
   cluster.Run([&](Comm& comm) {
     const Relation raw = GenerateSlice(spec, p, comm.rank());
     OneDimStats st;
-    CubeResult cube = OneDimPartitionCube(comm, raw, schema, AggFn::kSum, &st);
+    CubeResult cube = OneDimPartitionCube(comm, raw, schema, &st);
     std::lock_guard<std::mutex> lock(mu);
     shards[comm.rank()] = std::move(cube);
     stats[comm.rank()] = st;
@@ -549,7 +547,7 @@ TEST(OneDimBaseline, CorrectButImbalancedUnderSkew) {
     for (const auto& shard : shards) {
       combined.Concat(Relation(shard.views.at(v).rel));
     }
-    EXPECT_EQ(CanonicalizeRows(combined), BruteForceView(whole, v, AggFn::kSum))
+    EXPECT_EQ(CanonicalizeRows(combined), BruteForceView(whole, v))
         << "view mask=" << v.mask();
   }
   // Zipf(2.5) on D0 concentrates most rows on the rank owning value 0.
@@ -572,7 +570,7 @@ TEST(WorkPartitionBaseline, CorrectAndSingleOwnerPerView) {
   std::mutex mu;
   cluster.Run([&](Comm& comm) {
     WorkPartitionStats st;
-    CubeResult cube = WorkPartitionCube(comm, whole, schema, AggFn::kSum, &st);
+    CubeResult cube = WorkPartitionCube(comm, whole, schema, &st);
     std::lock_guard<std::mutex> lock(mu);
     shards[static_cast<std::size_t>(comm.rank())] = std::move(cube);
     stats[static_cast<std::size_t>(comm.rank())] = st;
@@ -592,7 +590,7 @@ TEST(WorkPartitionBaseline, CorrectAndSingleOwnerPerView) {
     // drawback); content exact.
     EXPECT_LE(owners, 1) << "view mask=" << v.mask();
     EXPECT_EQ(CanonicalizeRows(combined),
-              BruteForceView(whole, v, AggFn::kSum))
+              BruteForceView(whole, v))
         << "view mask=" << v.mask();
   }
   EXPECT_GT(stats[0].pipelines, 1);
@@ -611,7 +609,7 @@ TEST(WorkPartitionBaseline, DeterministicAssignmentAcrossRanks) {
   std::vector<WorkPartitionStats> stats(3);
   cluster.Run([&](Comm& comm) {
     WorkPartitionStats st;
-    WorkPartitionCube(comm, whole, schema, AggFn::kSum, &st);
+    WorkPartitionCube(comm, whole, schema, &st);
     stats[static_cast<std::size_t>(comm.rank())] = st;
   });
   EXPECT_EQ(stats[0].pipelines, stats[1].pipelines);

@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/parallel_cube.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
+#include "net/cluster.h"
 #include "net/fault.h"
 #include "net/wire.h"
 #include "query/engine.h"
@@ -144,12 +148,86 @@ TEST_P(QueryFuzz, RandomQueriesMatchBruteForce) {
     }
     const Relation& source = use_filter ? filtered : raw;
     const auto answer = engine.Execute(q);
-    EXPECT_EQ(answer.rel, BruteForceView(source, q.group_by, AggFn::kSum))
+    EXPECT_EQ(answer.rel, BruteForceView(source, q.group_by))
         << "trial " << trial << " mask=" << q.group_by.mask();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryFuzz, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// SUM bound fuzz: random non-negative measures that sum to INT64_MAX - 1.
+// Every partial sum any build forms is then at most the total, so the
+// sequential and the 3-rank parallel build must both succeed and match brute
+// force; adding 2 to one row pushes the grand total past INT64_MAX, and both
+// builds must fail with the typed overflow error instead of wrapping.
+
+class SumBoundFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SumBoundFuzz, NearMaxSumsExactlyAndOnePastThrows) {
+  constexpr Measure kTotal = std::numeric_limits<Measure>::max() - 1;
+  Rng rng(6500 + static_cast<std::uint64_t>(GetParam()));
+  DatasetSpec spec;
+  spec.rows = 300 + static_cast<std::int64_t>(rng.Below(300));
+  spec.cardinalities = {static_cast<std::uint32_t>(4 + rng.Below(12)),
+                        static_cast<std::uint32_t>(2 + rng.Below(6)),
+                        static_cast<std::uint32_t>(2 + rng.Below(3))};
+  spec.seed = 6600 + static_cast<std::uint64_t>(GetParam());
+  Relation raw = GenerateDataset(spec);
+  const Schema schema = spec.MakeSchema();
+  const auto rows = static_cast<Measure>(raw.size());
+  Measure rest = kTotal;
+  for (std::size_t r = 1; r < raw.size(); ++r) {
+    raw.measure(r) = static_cast<Measure>(
+        rng.Below(static_cast<std::uint64_t>(kTotal / rows)));
+    rest -= raw.measure(r);
+  }
+  raw.measure(0) = rest;  // >= kTotal / rows, so every measure is >= 0
+
+  const auto parallel_build = [&](const Relation& facts) {
+    Cluster cluster(3);
+    std::vector<CubeResult> shards(3);
+    std::mutex mu;
+    cluster.Run([&](Comm& comm) {
+      Relation slice(facts.width());
+      for (std::size_t r = static_cast<std::size_t>(comm.rank());
+           r < facts.size(); r += 3) {
+        slice.AppendRow(facts, r);
+      }
+      CubeResult cube = BuildParallelCube(comm, slice, schema, AllViews(3));
+      std::lock_guard<std::mutex> lock(mu);
+      shards[comm.rank()] = std::move(cube);
+    });
+    return shards;
+  };
+
+  const CubeResult cube = SequentialCube(raw, schema, AllViews(3));
+  EXPECT_EQ(cube.views.at(ViewId::Empty()).rel.measure(0), kTotal);
+  const std::vector<CubeResult> shards = parallel_build(raw);
+  for (ViewId v : AllViews(3)) {
+    const Relation expected = BruteForceView(raw, v);
+    EXPECT_EQ(CanonicalizeRows(cube.views.at(v).rel), expected)
+        << "mask=" << v.mask();
+    Relation combined(v.dim_count());
+    for (const CubeResult& shard : shards) {
+      combined.Concat(Relation(shard.views.at(v).rel));
+    }
+    EXPECT_EQ(CanonicalizeRows(combined), expected) << "mask=" << v.mask();
+  }
+
+  raw.measure(rng.Below(raw.size())) += 2;
+  EXPECT_THROW(SequentialCube(raw, schema, AllViews(3)), SncubeInputError);
+  try {
+    parallel_build(raw);
+    ADD_FAILURE() << "parallel build accepted a SUM past INT64_MAX";
+  } catch (const ClusterAbortedError& e) {
+    EXPECT_NE(std::string(e.what()).find("SUM overflows int64"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SumBoundFuzz, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // Deserialization fuzz: truncated, bit-flipped, and garbage byte buffers fed

@@ -71,7 +71,7 @@ TEST(Integration, GenerateBuildPersistQuery) {
        {ViewId::FromDims({1, 3}), ViewId::FromDims({0}), ViewId::Empty()}) {
     Query q;
     q.group_by = v;
-    EXPECT_EQ(engine.Execute(q).rel, BruteForceView(whole, v, AggFn::kSum));
+    EXPECT_EQ(engine.Execute(q).rel, BruteForceView(whole, v));
   }
 
   std::filesystem::remove_all(dir);
@@ -180,7 +180,7 @@ TEST(Integration, RetailPartialCubeOnCluster) {
       combined.Concat(Relation(shard.views.at(v).rel));
     }
     EXPECT_EQ(CanonicalizeRows(combined),
-              BruteForceView(ds.facts, v, AggFn::kSum))
+              BruteForceView(ds.facts, v))
         << "view mask=" << v.mask();
   }
 }

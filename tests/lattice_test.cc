@@ -170,7 +170,7 @@ TEST(AnalyticEstimator, MatchesEmpiricalUniform) {
   for (ViewId v : AllViews(3)) {
     if (v.empty()) continue;
     const auto dims = v.DimList();
-    const Relation agg = SortAndAggregate(data, dims, AggFn::kSum);
+    const Relation agg = SortAndAggregate(data, dims);
     const double predicted = est.EstimateRows(v);
     EXPECT_NEAR(predicted, static_cast<double>(agg.size()),
                 0.05 * static_cast<double>(agg.size()) + 2.0)
@@ -192,7 +192,7 @@ TEST(FmViewEstimator, TracksActualDistinctCounts) {
   for (ViewId v : views) {
     if (v.empty()) continue;
     const auto dims = v.DimList();
-    const Relation agg = SortAndAggregate(data, dims, AggFn::kSum);
+    const Relation agg = SortAndAggregate(data, dims);
     const double predicted = est.EstimateRows(v);
     const auto actual = static_cast<double>(agg.size());
     EXPECT_GT(predicted, actual * 0.55) << "view mask=" << v.mask();

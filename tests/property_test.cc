@@ -79,7 +79,7 @@ TEST_P(ParallelCubeProperty, MatchesBruteForce) {
       combined.Concat(Relation(vr.rel));
     }
     EXPECT_EQ(CanonicalizeRows(combined),
-              BruteForceView(whole, v, AggFn::kSum))
+              BruteForceView(whole, v))
         << "view mask=" << v.mask();
   }
 }
@@ -145,7 +145,7 @@ TEST_P(DimsProperty, FullCubeAllDims) {
       combined.Concat(Relation(shard.views.at(v).rel));
     }
     EXPECT_EQ(CanonicalizeRows(combined),
-              BruteForceView(whole, v, AggFn::kSum))
+              BruteForceView(whole, v))
         << "d=" << d << " view mask=" << v.mask();
   }
 }

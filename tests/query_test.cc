@@ -40,7 +40,7 @@ TEST_F(QueryFixture, GroupByMatchesBruteForce) {
     Query q;
     q.group_by = v;
     const auto answer = engine.Execute(q);
-    EXPECT_EQ(answer.rel, BruteForceView(raw, v, AggFn::kSum))
+    EXPECT_EQ(answer.rel, BruteForceView(raw, v))
         << "view mask=" << v.mask();
   }
 }
@@ -60,7 +60,7 @@ TEST_F(QueryFixture, FilterRoutesToCoveringView) {
     if (raw.key(r, 0) == 3) filtered.AppendRow(raw, r);
   }
   EXPECT_EQ(answer.rel,
-            BruteForceView(filtered, ViewId::FromDims({1}), AggFn::kSum));
+            BruteForceView(filtered, ViewId::FromDims({1})));
 }
 
 TEST_F(QueryFixture, PartialCubeFallsBackToAncestor) {
@@ -74,7 +74,7 @@ TEST_F(QueryFixture, PartialCubeFallsBackToAncestor) {
   EXPECT_EQ(engine.Route(q), ViewId::FromDims({0, 1}));
   const auto answer = engine.Execute(q);
   EXPECT_EQ(answer.rel,
-            BruteForceView(raw, ViewId::FromDims({1}), AggFn::kSum));
+            BruteForceView(raw, ViewId::FromDims({1})));
 }
 
 TEST_F(QueryFixture, RouteTieBreaksOnSmallestViewId) {

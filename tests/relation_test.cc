@@ -139,7 +139,7 @@ TEST(Sort, RandomizedMatchesStdSort) {
 TEST(Aggregate, SumsDuplicateGroups) {
   Relation rel = MakeRel({{{1, 1}, 5}, {{1, 1}, 7}, {{1, 2}, 1}, {{2, 1}, 2}});
   const auto cols = IdentityOrder(2);
-  Relation agg = SortAndAggregate(rel, cols, AggFn::kSum);
+  Relation agg = SortAndAggregate(rel, cols);
   ASSERT_EQ(agg.size(), 3u);
   EXPECT_EQ(agg.measure(0), 12);  // (1,1)
   EXPECT_EQ(agg.measure(1), 1);   // (1,2)
@@ -149,7 +149,7 @@ TEST(Aggregate, SumsDuplicateGroups) {
 TEST(Aggregate, PrefixProjection) {
   Relation rel = MakeRel({{{1, 1}, 5}, {{1, 2}, 7}, {{2, 9}, 1}});
   const std::vector<int> prefix{0};
-  Relation agg = SortAndAggregate(rel, prefix, AggFn::kSum);
+  Relation agg = SortAndAggregate(rel, prefix);
   ASSERT_EQ(agg.size(), 2u);
   EXPECT_EQ(agg.width(), 1);
   EXPECT_EQ(agg.key(0, 0), 1u);
@@ -157,31 +157,68 @@ TEST(Aggregate, PrefixProjection) {
   EXPECT_EQ(agg.measure(1), 1);
 }
 
-TEST(Aggregate, MinMax) {
-  Relation rel = MakeRel({{{1}, 5}, {{1}, 7}, {{1}, 3}});
+TEST(Aggregate, SumsSignedMeasures) {
+  // Distinguishable signed measures: a sum that cancels to zero, one that
+  // ends negative, and a lone negative row.
+  Relation rel = MakeRel({{{1}, 5}, {{2}, -4}, {{1}, -7}, {{1}, 2},
+                          {{3}, -9}, {{2}, 1}});
+  const Relation agg = SortAndAggregate(rel, IdentityOrder(1));
+  ASSERT_EQ(agg.size(), 3u);
+  EXPECT_EQ(agg.measure(0), 0);   // 5 - 7 + 2
+  EXPECT_EQ(agg.measure(1), -3);  // -4 + 1
+  EXPECT_EQ(agg.measure(2), -9);
+}
+
+// The SUM is exact up to the int64 bounds and a typed error one past them,
+// on every combine path: the group scan, the duplicate collapse and the
+// sorted merge.
+TEST(Aggregate, SumOverflowIsTypedInputError) {
+  constexpr Measure kMax = std::numeric_limits<Measure>::max();
+  constexpr Measure kMin = std::numeric_limits<Measure>::min();
   const auto cols = IdentityOrder(1);
-  EXPECT_EQ(SortAndAggregate(rel, cols, AggFn::kMin).measure(0), 3);
-  EXPECT_EQ(SortAndAggregate(rel, cols, AggFn::kMax).measure(0), 7);
+
+  const Relation at_max = MakeRel({{{1}, kMax - 1}, {{1}, 1}});
+  EXPECT_EQ(SortAndAggregate(at_max, cols).measure(0), kMax);
+  EXPECT_EQ(CollapseSorted(at_max).measure(0), kMax);
+  const Relation at_min = MakeRel({{{1}, kMin + 1}, {{1}, -1}});
+  EXPECT_EQ(SortAndAggregate(at_min, cols).measure(0), kMin);
+
+  const Relation over = MakeRel({{{1}, kMax}, {{1}, 1}});
+  EXPECT_THROW(SortAndAggregate(over, cols), SncubeInputError);
+  EXPECT_THROW(CollapseSorted(over), SncubeInputError);
+  const Relation under = MakeRel({{{1}, kMin}, {{1}, -1}});
+  EXPECT_THROW(SortAndAggregate(under, cols), SncubeInputError);
+  EXPECT_THROW(MergeSortedAggregate(MakeRel({{{1}, kMax}}),
+                                    MakeRel({{{1}, 1}}), cols),
+               SncubeInputError);
+  try {
+    SortAndAggregate(over, cols);
+  } catch (const SncubeInputError& e) {
+    EXPECT_NE(std::string(e.what()).find("SUM overflows int64"),
+              std::string::npos);
+  }
 }
 
 TEST(Aggregate, EmptyInput) {
   Relation rel(2);
   const auto cols = IdentityOrder(2);
-  EXPECT_EQ(AggregateSortedPrefix(rel, cols, AggFn::kSum).size(), 0u);
+  EXPECT_EQ(AggregateSortedPrefix(rel, cols).size(), 0u);
 }
 
 TEST(Aggregate, ColumnPermutationProjectsInThatOrder) {
   Relation rel = MakeRel({{{1, 9}, 4}});
   const std::vector<int> order{1, 0};
-  Relation agg = SortAndAggregate(rel, order, AggFn::kSum);
+  Relation agg = SortAndAggregate(rel, order);
   EXPECT_EQ(agg.key(0, 0), 9u);  // column order follows `order`
   EXPECT_EQ(agg.key(0, 1), 1u);
 }
 
 TEST(Aggregate, MergeSortedAggregateCombinesAcross) {
-  Relation a = MakeRel({{{1, 1}, 5}, {{3, 3}, 1}});
-  Relation b = MakeRel({{{1, 1}, 2}, {{2, 2}, 9}});
-  Relation merged = MergeSortedAggregate(a, b, AggFn::kSum);
+  // All columns ascending: the router's scatter merge. The permuted-order
+  // merge that refresh uses is covered in refresh_test.cc.
+  const Relation a = MakeRel({{{1, 1}, 5}, {{3, 3}, 1}});
+  const Relation b = MakeRel({{{1, 1}, 2}, {{2, 2}, 9}});
+  const Relation merged = MergeSortedAggregate(a, b, IdentityOrder(2));
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged.measure(0), 7);
   EXPECT_EQ(merged.key(1, 0), 2u);
@@ -191,14 +228,14 @@ TEST(Aggregate, MergeSortedAggregateCombinesAcross) {
 TEST(Aggregate, MergeWithEmptySide) {
   Relation a = MakeRel({{{1}, 5}});
   Relation b(1);
-  Relation merged = MergeSortedAggregate(a, b, AggFn::kSum);
+  Relation merged = MergeSortedAggregate(a, b, IdentityOrder(1));
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged.measure(0), 5);
 }
 
 TEST(Aggregate, CollapseSorted) {
   Relation rel = MakeRel({{{1}, 1}, {{1}, 2}, {{2}, 3}});
-  Relation collapsed = CollapseSorted(rel, AggFn::kSum);
+  Relation collapsed = CollapseSorted(rel);
   ASSERT_EQ(collapsed.size(), 2u);
   EXPECT_EQ(collapsed.measure(0), 3);
 }

@@ -4,6 +4,7 @@
 // here depends on wall-clock time.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -295,6 +296,31 @@ TEST(Router, TopKScatterIsReappliedAfterMerge) {
   Query q = ScatterQuery();
   q.top_k = 5;
   ExpectCorrect(*s, q, s->router->Execute(q));
+}
+
+TEST(Router, ScatterSumPastInt64IsTypedFailure) {
+  // Each slice's partial SUM fits int64; their sum in the scatter merge
+  // does not. The request fails typed instead of answering a wrapped value.
+  Key other = 1;
+  while (SliceOfLeadingKey(other, 2) == SliceOfLeadingKey(0, 2)) ++other;
+  const ViewId a = ViewId::FromDims({0});
+  CubeResult cube;
+  cube.views[a] = ViewResult{a, {0}, Relation(1), true};
+  cube.views[a].rel.Append(std::vector<Key>{0},
+                           std::numeric_limits<Measure>::max());
+  cube.views[a].rel.Append(std::vector<Key>{other}, 1);
+  ManualServeClock clock;
+  ShardSetOptions sopts;
+  sopts.shards = 2;
+  sopts.clock = &clock;
+  ShardSet shards(cube, sopts, FaultPlan());
+  Router router(shards, RouterOptions());
+  Query total;  // group by nothing: answered from A on both slices
+  const RouterResult r = router.Execute(total);
+  EXPECT_TRUE(r.scatter);
+  EXPECT_EQ(r.outcome, RouterOutcome::kFailed) << RouterOutcomeName(r.outcome);
+  EXPECT_EQ(r.answer, nullptr);
+  shards.Shutdown();
 }
 
 TEST(Router, DeadShardFailsOverToReplicaAndBreakerOpens) {

@@ -15,8 +15,8 @@ namespace {
 
 // Compares a computed view against the brute-force group-by, ignoring row
 // order.
-void ExpectViewCorrect(const Relation& raw, const ViewResult& vr, AggFn fn) {
-  const Relation expected = BruteForceView(raw, vr.id, fn);
+void ExpectViewCorrect(const Relation& raw, const ViewResult& vr) {
+  const Relation expected = BruteForceView(raw, vr.id);
   const Relation actual = CanonicalizeRows(vr.rel);
   ASSERT_EQ(actual.size(), expected.size()) << "view mask=" << vr.id.mask();
   EXPECT_EQ(actual, expected) << "view mask=" << vr.id.mask();
@@ -34,8 +34,8 @@ TEST(ComputeRootData, FullRootEqualsBruteForce) {
   const auto spec = SmallSpec(5000);
   const Relation raw = GenerateDataset(spec);
   const ViewId root = ViewId::Full(4);
-  Relation data = ComputeRootData(raw, root, root.DimList(), AggFn::kSum);
-  EXPECT_EQ(CanonicalizeRows(data), BruteForceView(raw, root, AggFn::kSum));
+  Relation data = ComputeRootData(raw, root, root.DimList());
+  EXPECT_EQ(CanonicalizeRows(data), BruteForceView(raw, root));
   EXPECT_TRUE(IsSorted(data, IdentityOrder(4)));
 }
 
@@ -44,19 +44,19 @@ TEST(ComputeRootData, SubsetRootInPermutedOrder) {
   const Relation raw = GenerateDataset(spec);
   const ViewId root = ViewId::FromDims({1, 3});
   const std::vector<int> order{3, 1};  // sort by D3 then D1
-  Relation data = ComputeRootData(raw, root, order, AggFn::kSum);
+  Relation data = ComputeRootData(raw, root, order);
   EXPECT_EQ(data.width(), 2);
   // Canonical layout: column 0 = dim 1, column 1 = dim 3; sorted by (3,1) =
   // columns (1,0).
   EXPECT_TRUE(IsSorted(data, std::vector<int>{1, 0}));
-  EXPECT_EQ(CanonicalizeRows(data), BruteForceView(raw, root, AggFn::kSum));
+  EXPECT_EQ(CanonicalizeRows(data), BruteForceView(raw, root));
 }
 
 TEST(ComputeRootData, EmptyRootTotalsEverything) {
   const auto spec = SmallSpec(1000);
   const Relation raw = GenerateDataset(spec);
   Relation data =
-      ComputeRootData(raw, ViewId::Empty(), {}, AggFn::kSum);
+      ComputeRootData(raw, ViewId::Empty(), {});
   ASSERT_EQ(data.size(), 1u);
   EXPECT_EQ(data.measure(0), 1000);  // measures are all 1
 }
@@ -72,13 +72,13 @@ TEST(Pipeline, ExecutesAPartitionCorrectly) {
       BuildPipesortTree(parts[0], root, root.DimList(), est);
 
   Relation root_data =
-      ComputeRootData(raw, root, root.DimList(), AggFn::kSum);
+      ComputeRootData(raw, root, root.DimList());
   ExecStats stats;
-  const CubeResult cube = ExecuteScheduleTree(tree, std::move(root_data),
-                                              AggFn::kSum, nullptr, &stats);
+  const CubeResult cube =
+      ExecuteScheduleTree(tree, std::move(root_data), nullptr, &stats);
   ASSERT_EQ(cube.views.size(), 8u);
   for (const auto& [id, vr] : cube.views) {
-    ExpectViewCorrect(raw, vr, AggFn::kSum);
+    ExpectViewCorrect(raw, vr);
     // Rows must be sorted in the view's declared order.
     EXPECT_TRUE(IsSorted(vr.rel, ColumnsOf(vr.id, vr.order)));
   }
@@ -96,7 +96,7 @@ TEST(Pipeline, RejectsUnsortedRootData) {
   unsorted.Append(std::vector<Key>{5, 0}, 1);
   unsorted.Append(std::vector<Key>{1, 0}, 1);
   EXPECT_THROW(
-      ExecuteScheduleTree(tree, std::move(unsorted), AggFn::kSum),
+      ExecuteScheduleTree(tree, std::move(unsorted)),
       SncubeError);
 }
 
@@ -107,7 +107,7 @@ TEST(Pipeline, EmptyRootDataYieldsEmptyViews) {
   const ScheduleTree tree =
       BuildPipesortTree(AllViews(2), root, root.DimList(), est);
   const CubeResult cube =
-      ExecuteScheduleTree(tree, Relation(2), AggFn::kSum);
+      ExecuteScheduleTree(tree, Relation(2));
   for (const auto& [id, vr] : cube.views) EXPECT_TRUE(vr.rel.empty());
 }
 
@@ -117,10 +117,10 @@ TEST(SequentialPipesort, FullCubeMatchesBruteForce) {
   const Schema schema = spec.MakeSchema();
   ExecStats stats;
   const CubeResult cube =
-      SequentialPipesortCube(raw, schema, AggFn::kSum, nullptr, &stats);
+      SequentialPipesortCube(raw, schema, nullptr, &stats);
   ASSERT_EQ(cube.views.size(), 16u);
   for (const auto& [id, vr] : cube.views) {
-    ExpectViewCorrect(raw, vr, AggFn::kSum);
+    ExpectViewCorrect(raw, vr);
   }
   // The pipelined execution must sort far fewer times than one sort per
   // view.
@@ -133,7 +133,7 @@ TEST(SequentialPipesort, WithDiskAccounting) {
   const Schema schema = spec.MakeSchema();
   DiskModel disk({.block_bytes = 4096, .memory_bytes = 1 << 20});
   const CubeResult cube =
-      SequentialPipesortCube(raw, schema, AggFn::kSum, &disk);
+      SequentialPipesortCube(raw, schema, &disk);
   EXPECT_EQ(cube.views.size(), 16u);
   EXPECT_GT(disk.blocks_read(), 0u);
   EXPECT_GT(disk.blocks_written(), 0u);
@@ -162,38 +162,35 @@ TEST(SequentialCube, PartialSelection) {
       ViewId::FromDims({3}), ViewId::Empty()};
   for (auto strategy : {PartialStrategy::kPrunedPipesort,
                         PartialStrategy::kGreedyLattice}) {
-    const CubeResult cube = SequentialCube(raw, schema, selected,
-                                           AggFn::kSum, nullptr, nullptr,
-                                           strategy);
+    const CubeResult cube =
+        SequentialCube(raw, schema, selected, nullptr, nullptr, strategy);
     for (ViewId v : selected) {
       const auto it = cube.views.find(v);
       ASSERT_NE(it, cube.views.end()) << "missing selected view";
       EXPECT_TRUE(it->second.selected);
-      ExpectViewCorrect(raw, it->second, AggFn::kSum);
+      ExpectViewCorrect(raw, it->second);
     }
     // Auxiliaries, when present, are flagged and also correct.
     for (const auto& [id, vr] : cube.views) {
       if (std::find(selected.begin(), selected.end(), id) == selected.end()) {
         EXPECT_FALSE(vr.selected);
-        ExpectViewCorrect(raw, vr, AggFn::kSum);
+        ExpectViewCorrect(raw, vr);
       }
     }
   }
 }
 
-TEST(SequentialCube, MinAndMaxAggregates) {
+TEST(SequentialCube, SignedMeasureSums) {
   DatasetSpec spec = SmallSpec(2000, 41);
   Relation raw = GenerateDataset(spec);
-  // Give rows distinguishable measures.
+  // Give rows distinguishable signed measures.
   for (std::size_t r = 0; r < raw.size(); ++r) {
     raw.measure(r) = static_cast<Measure>(r % 97) - 48;
   }
   const Schema schema = spec.MakeSchema();
-  for (AggFn fn : {AggFn::kMin, AggFn::kMax}) {
-    const CubeResult cube = SequentialCube(raw, schema, AllViews(4), fn);
-    for (const auto& [id, vr] : cube.views) {
-      ExpectViewCorrect(raw, vr, fn);
-    }
+  const CubeResult cube = SequentialCube(raw, schema, AllViews(4));
+  for (const auto& [id, vr] : cube.views) {
+    ExpectViewCorrect(raw, vr);
   }
 }
 

@@ -6,17 +6,17 @@
 //                   [--views N | --fraction F] [--gamma G] [--local-trees]
 //   sncube info     --cube cubedir
 //   sncube query    --cube cubedir --group-by D0,D2 [--where D1=3]
-//                   [--min|--max] [--top K] [--json]
+//                   [--top K] [--json]
 //   sncube serve    --cube cubedir --bench [--workers W] [--clients C]
 //                   [--queries N] [--queue-depth Q] [--cache-mb MB]
 //                   [--alpha A] [--seed S]
 //
 // `build` runs the paper's parallel shared-nothing algorithm on a simulated
 // cluster of P virtual processors (default 1 = plain sequential Pipesort)
-// and persists every selected view into the cube directory, which `query`
-// then serves with lattice routing. `serve --bench` replays a synthetic
-// Zipf-skewed query mix through the concurrent CubeServer (src/serve/) and
-// prints its StatsSnapshot as JSON.
+// and persists every selected view's SUMs into the cube directory, which
+// `query` then serves with lattice routing. `serve --bench` replays a
+// synthetic Zipf-skewed query mix through the concurrent CubeServer
+// (src/serve/) and prints its StatsSnapshot as JSON.
 #include <unistd.h>
 
 #include <atomic>
@@ -72,6 +72,7 @@ namespace {
 // is not added here (or not written up) fails `ctest -L lint`.
 constexpr const char* kHelpText =
     "usage: sncube <command> [flags]\n"
+    "  (a flag the command does not list below is an error)\n"
     "\n"
     "commands:\n"
     "  generate   synthesize a fact table as CSV\n"
@@ -117,7 +118,6 @@ constexpr const char* kHelpText =
     "  --cube DIR         cube directory to query\n"
     "  --group-by A,B,... dimension names to group by\n"
     "  --where D=V,...    equality filters (dimension=code)\n"
-    "  --min | --max      aggregate MIN/MAX instead of SUM\n"
     "  --top K            keep only the K largest groups\n"
     "  --json             machine-readable output\n"
     "  --trace-out FILE   write a Chrome trace of the query (wall clock)\n"
@@ -200,19 +200,33 @@ constexpr const char* kHelpText =
   std::exit(2);
 }
 
-// Minimal flag parser: --name value pairs plus boolean switches.
+// The flags one command takes: `values` are --name value pairs, `switches`
+// are boolean --name flags.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
+// Minimal flag parser over one command's FlagSpec. Any other --name is a
+// usage error, so a typo or a retired flag fails instead of being ignored.
 class Args {
  public:
-  Args(int argc, char** argv, const std::vector<std::string>& switches) {
+  Args(int argc, char** argv, const FlagSpec& spec) {
+    const auto takes = [](const std::vector<std::string>& names,
+                          const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
     for (int i = 0; i < argc; ++i) {
       std::string a = argv[i];
       if (a.rfind("--", 0) != 0) Usage(("unexpected argument: " + a).c_str());
       a = a.substr(2);
-      if (std::find(switches.begin(), switches.end(), a) != switches.end()) {
+      if (takes(spec.switches, a)) {
         values_[a] = "1";
-      } else {
+      } else if (takes(spec.values, a)) {
         if (i + 1 >= argc) Usage(("missing value for --" + a).c_str());
         values_[a] = argv[++i];
+      } else {
+        Usage(("unknown flag for this command: --" + a).c_str());
       }
     }
   }
@@ -464,8 +478,6 @@ int CmdQuery(const Args& args) {
            static_cast<Key>(std::stoul(clause.substr(eq + 1)))});
     }
   }
-  if (args.Has("min")) q.fn = AggFn::kMin;
-  if (args.Has("max")) q.fn = AggFn::kMax;
   if (const auto top = args.Get("top")) q.top_k = std::atoi(top->c_str());
 
   const auto trace_out = args.Get("trace-out");
@@ -543,13 +555,14 @@ int CmdRefresh(const Args& args) {
       MergeDeltaCube(base, ComputeDeltaCube(delta, schema, base));
 
   // Optionally commit the refreshed cube into a crash-safe snapshot store
-  // as the epoch after the newest committed one (1 for a fresh store). Like
-  // the RefreshCoordinator, keep only the new epoch and its predecessor.
+  // as the epoch after the newest committed one (1 for a fresh store), read
+  // off the manifest alone. Like the RefreshCoordinator, keep only the new
+  // epoch and its predecessor.
   std::uint64_t epoch = 0;
   if (const auto snap_dir = args.Get("snapshot-dir")) {
     DiskModel disk;
     SnapshotStore snap(*snap_dir, disk);
-    epoch = snap.Recover().epoch + 1;
+    epoch = snap.ReadManifest().LastCommitted() + 1;
     snap.WriteEpoch(epoch, merged);
     snap.AppendCommit(epoch);
     snap.RemoveEpochDirsBelow(epoch - 1);
@@ -906,20 +919,47 @@ int main(int argc, char** argv) {
     std::fputs(kHelpText, stdout);
     return 0;
   }
-  try {
-    const Args args(argc - 2, argv + 2,
-                    {"local-trees", "min", "max", "json", "bench", "verbose",
-                     "serve", "refresh"});
-    if (cmd == "generate") return CmdGenerate(args);
-    if (cmd == "build") return CmdBuild(args);
-    if (cmd == "info") return CmdInfo(args);
-    if (cmd == "query") return CmdQuery(args);
-    if (cmd == "refresh") return CmdRefresh(args);
-    if (cmd == "serve") return CmdServe(args);
-    if (cmd == "chaos") return CmdChaos(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    FlagSpec flags;
+  };
+  const Command commands[] = {
+      {"generate",
+       CmdGenerate,
+       {{"rows", "cards", "alphas", "seed", "out"}, {}}},
+      {"build",
+       CmdBuild,
+       {{"in", "out", "procs", "threads-per-rank", "views", "fraction",
+         "gamma", "checkpoint-dir", "fault-plan", "trace-out", "summary-out"},
+        {"local-trees"}}},
+      {"info", CmdInfo, {{"cube"}, {}}},
+      {"query",
+       CmdQuery,
+       {{"cube", "group-by", "where", "top", "trace-out"}, {"json"}}},
+      {"refresh", CmdRefresh, {{"cube", "delta", "snapshot-dir"}, {}}},
+      {"serve",
+       CmdServe,
+       {{"cube", "workers", "clients", "queries", "queue-depth", "cache-mb",
+         "alpha", "seed", "trace-out", "summary-out", "shards", "fault-plan",
+         "per-try-ms", "retries", "hedge-ms", "breaker-failures",
+         "breaker-cooldown-ms", "refresh-every", "refresh-rows",
+         "snapshot-dir"},
+        {"bench"}}},
+      {"chaos",
+       CmdChaos,
+       {{"plans", "seed", "procs", "rows", "fail-out", "shards", "requests"},
+        {"verbose", "serve", "refresh"}}},
+  };
+  for (const Command& command : commands) {
+    if (cmd != command.name) continue;
+    const Args args(argc - 2, argv + 2, command.flags);
+    try {
+      return command.run(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   Usage(("unknown command: " + cmd).c_str());
 }
