@@ -2,10 +2,8 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <sstream>
+#include <memory>
 #include <utility>
 
 #include "common/status.h"
@@ -16,9 +14,6 @@
 #include "refresh/refresh.h"
 #include "refresh/snapshot.h"
 #include "seqcube/seq_cube.h"
-#include "serve/retry_policy.h"
-#include "serve/router.h"
-#include "serve/shard_set.h"
 
 namespace sncube {
 namespace chaos {
@@ -99,10 +94,7 @@ FaultPlan RandomRefreshPlan(Rng& rng, int shards, std::uint64_t requests) {
 RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
                                      int shards)
     : opts_(opts), shards_(shards) {
-  DatasetSpec spec;
-  spec.rows = static_cast<std::int64_t>(opts_.rows);
-  spec.cardinalities = opts_.cards;
-  spec.seed = opts_.data_seed;
+  const DatasetSpec spec = opts_.dataset();
   schema_ = spec.MakeSchema();
   pre_cube_ =
       SequentialCube(GenerateSlice(spec, 1, 0), schema_, AllViews(schema_.dims()));
@@ -114,27 +106,13 @@ RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
   dspec.rows = static_cast<std::int64_t>(opts_.delta_rows);
   dspec.seed = opts_.delta_seed;
   delta_ = GenerateSlice(dspec, 1, 0);
-  post_cube_ = MergeDeltaCube(
-      pre_cube_,
-      ComputeDeltaCube(delta_, schema_, pre_cube_));
+  post_cube_ =
+      MergeDeltaCube(pre_cube_, ComputeDeltaCube(delta_, schema_, pre_cube_));
 
-  // Fixed stream with BOTH golden answers per request: shrink replays the
-  // same traffic, only the faults change.
   WorkloadSpec wl = opts_.workload;
   wl.seed = opts_.seed * 0x9E3779B97F4A7C15ULL + 23;
-  const QueryMix mix(pre_cube_, schema_, wl);
-  CubeQueryEngine pre_engine(pre_cube_);
-  CubeQueryEngine post_engine(post_cube_);
-  Rng draw(wl.seed + 1);
-  requests_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_pre_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_post_.reserve(static_cast<std::size_t>(opts_.requests));
-  for (int i = 0; i < opts_.requests; ++i) {
-    const Query q = mix.Sample(draw);
-    requests_.push_back(q);
-    golden_pre_.push_back(pre_engine.Execute(q).rel);
-    golden_post_.push_back(post_engine.Execute(q).rel);
-  }
+  stream_ = MakeGoldenStream(pre_cube_, schema_, wl, opts_.requests,
+                             {&pre_cube_, &post_cube_});
 
   root_ = opts_.snapshot_root.empty()
               ? (std::filesystem::temp_directory_path() /
@@ -144,17 +122,6 @@ RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
   std::filesystem::create_directories(root_);
 }
 
-RefreshChaosTrial::~RefreshChaosTrial() = default;
-
-std::string RefreshChaosTrial::MatchesEitherGolden(
-    const CubeResult& cube) const {
-  const std::string vs_pre = DiffCubes(cube, pre_cube_);
-  if (vs_pre.empty()) return "";
-  const std::string vs_post = DiffCubes(cube, post_cube_);
-  if (vs_post.empty()) return "";
-  return "vs pre: " + vs_pre + "; vs post: " + vs_post;
-}
-
 std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
   const std::string dir =
       root_ + "/chk" + std::to_string(shards_) + "_" +
@@ -162,76 +129,34 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 
+  // Typed failures are allowed throughout — refresh churn may retire a
+  // pinned epoch (kEpochGone → unavailable) but never corrupt.
   std::optional<std::string> violation;
   std::size_t cursor = 0;
-
-  RouterOptions ropts;
-  ropts.per_try_us = 1000;
-  ropts.hedge_delay_us = 400;
-  ropts.max_tries = 3;
-  ropts.backoff.base_us = 500;
-  ropts.backoff.cap_us = 4000;
-  ropts.breaker.failure_threshold = 4;
-  ropts.breaker.window_us = 100000;
-  ropts.breaker.cooldown_us = 2000;
-  ropts.probe_every = 16;
-
-  ShardSetOptions sopts;
-  sopts.shards = shards_;
-  sopts.server.workers = 2;
-  // Off for determinism: virtual time only advances through the clock we
-  // drive (cf. serve_chaos.cc).
-  sopts.server.deadline = std::chrono::microseconds(0);
-  sopts.pin_epoch = opts_.pin_epoch;
-
-  // Drains `count` requests from the stream through `router`, holding every
-  // OK answer to old-or-new. Typed failures are allowed — refresh churn may
-  // retire a pinned epoch (kEpochGone → unavailable) but never corrupt.
-  const auto drive = [&](Router& router, ManualServeClock& clock, int count,
-                         const std::string& where) {
-    for (int i = 0; i < count; ++i) {
-      if (violation.has_value() || cursor >= requests_.size()) return;
-      clock.Advance(200);
-      const std::size_t qi = cursor++;
-      const RouterResult r = router.Execute(requests_[qi]);
-      if (r.outcome != RouterOutcome::kOk) continue;
-      if (r.answer == nullptr) {
-        violation = "request " + std::to_string(qi) + " (" + where +
-                    ") reported ok with no answer";
-        return;
-      }
-      if (!(r.answer->rel == golden_pre_[qi]) &&
-          !(r.answer->rel == golden_post_[qi])) {
-        std::ostringstream os;
-        os << "request " << qi << " (" << where << ", epoch " << r.epoch
-           << ", " << (r.scatter ? "scatter" : "point")
-           << ") returned a BLEND: " << r.answer->rel.size()
-           << " rows match neither pre-refresh golden ("
-           << golden_pre_[qi].size() << " rows) nor post-refresh golden ("
-           << golden_post_[qi].size() << " rows)";
-        violation = os.str();
-      }
+  const auto replay = [&](ServingTier& tier, std::size_t count,
+                          const std::string& where) {
+    if (!violation.has_value()) {
+      violation = tier.Replay(stream_, &cursor, count, where);
     }
   };
 
   bool crashed = false;
   {
-    ManualServeClock clock;
-    ShardSet shard_set(pre_cube_, sopts, plan);
-    Router router(shard_set, ropts);
-
-    drive(router, clock, opts_.requests_before, "pre-refresh");
+    ServingTier tier(pre_cube_, shards_, plan, /*pin_scatter_view=*/true,
+                     opts_.pin_epoch);
+    replay(tier, static_cast<std::size_t>(opts_.requests_before),
+           "pre-refresh");
 
     FaultInjector injector(plan, /*rank=*/0);
     RefreshOptions refresh_opts;
     refresh_opts.dir = dir;
     refresh_opts.injector = &injector;
     refresh_opts.on_phase = [&](int phase) {
-      drive(router, clock, opts_.requests_per_phase,
-            "swap phase " + std::to_string(phase));
+      replay(tier, static_cast<std::size_t>(opts_.requests_per_phase),
+             "swap phase " + std::to_string(phase));
     };
     RefreshCoordinator coordinator(
-        shard_set,
+        tier.shard_set(),
         std::shared_ptr<const CubeResult>(&pre_cube_,
                                           [](const CubeResult*) {}),
         schema_, std::move(refresh_opts));
@@ -251,10 +176,9 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
         violation = "completed refresh installed a cube differing from the "
                     "post-refresh golden: " + diff;
       }
-      drive(router, clock,
-            static_cast<int>(requests_.size() - cursor), "post-refresh");
+      replay(tier, stream_.queries.size(), "post-refresh");
     }
-    shard_set.Shutdown();
+    tier.shard_set().Shutdown();
   }
 
   if (crashed && !violation.has_value()) {
@@ -265,21 +189,19 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
     SnapshotStore store(dir, recovery_disk);
     const RecoveredSnapshot rec = store.Recover();
     const CubeResult& served = rec.has_cube ? rec.cube : pre_cube_;
-    const std::string mismatch = MatchesEitherGolden(served);
-    if (!mismatch.empty()) {
+    const std::string vs_pre = DiffCubes(served, pre_cube_);
+    const std::string vs_post = DiffCubes(served, post_cube_);
+    if (!vs_pre.empty() && !vs_post.empty()) {
       violation = "recovered cube (epoch " + std::to_string(rec.epoch) +
                   ", has_cube=" + (rec.has_cube ? "1" : "0") +
-                  ") is a BLEND — " + mismatch;
+                  ") is a BLEND — vs pre: " + vs_pre + "; vs post: " + vs_post;
     } else {
       // The remaining stream replays against the recovered state on a
       // fresh, fault-free serving tier (the plan's windows died with the
       // crashed process).
-      ManualServeClock clock;
-      ShardSet shard_set(served, sopts);
-      Router router(shard_set, ropts);
-      drive(router, clock, static_cast<int>(requests_.size() - cursor),
-            "post-recovery");
-      shard_set.Shutdown();
+      ServingTier tier(served, shards_, FaultPlan{},
+                       /*pin_scatter_view=*/true, opts_.pin_epoch);
+      replay(tier, stream_.queries.size(), "post-recovery");
     }
   }
 
@@ -287,135 +209,16 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
   return violation;
 }
 
-FaultPlan RefreshChaosTrial::Shrink(const FaultPlan& plan) {
-  FaultPlan cur = plan;
-  const auto fails = [&](const FaultPlan& p) { return Check(p).has_value(); };
-
-  // Phase 1: ddmin-style greedy clause removal to a fixpoint, across every
-  // clause family a refresh plan can carry.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto try_drop = [&](auto member) {
-      if (changed) return;
-      auto& vec = cur.*member;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        FaultPlan cand = cur;
-        auto& cand_vec = cand.*member;
-        cand_vec.erase(cand_vec.begin() + static_cast<std::ptrdiff_t>(i));
-        if (fails(cand)) {
-          cur = std::move(cand);
-          changed = true;
-          return;
-        }
-      }
-    };
-    try_drop(&FaultPlan::refresh_kills);
-    try_drop(&FaultPlan::shard_kills);
-    try_drop(&FaultPlan::shard_slows);
-    try_drop(&FaultPlan::bit_flips);
-    try_drop(&FaultPlan::torn_writes);
-    try_drop(&FaultPlan::disk_errors);
-  }
-
-  // Phase 2: shrink surviving serve windows (shorter, earlier), slow
-  // factors, and disk-fault rates while the failure persists.
-  const auto shrink_window = [&](auto member, auto set_window) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      for (;;) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd)
-                ? static_cast<std::uint64_t>(opts_.requests) - c.from
-                : c.until - c.from;
-        if (len <= 1) break;
-        set_window(c, c.from, c.from + len / 2);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-      while ((cur.*member)[i].from > 0) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd) ? 0 : c.until - c.from;
-        const std::uint64_t from = c.from / 2;
-        set_window(c, from,
-                   c.until == FaultPlan::kNoEnd ? FaultPlan::kNoEnd
-                                                : from + len);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_window(&FaultPlan::shard_kills,
-                [](FaultPlan::ShardKill& k, std::uint64_t f, std::uint64_t u) {
-                  k.from = f;
-                  k.until = u;
-                });
-  shrink_window(&FaultPlan::shard_slows,
-                [](FaultPlan::ShardSlow& s, std::uint64_t f, std::uint64_t u) {
-                  s.from = f;
-                  s.until = u;
-                });
-  for (std::size_t i = 0; i < cur.shard_slows.size(); ++i) {
-    while (cur.shard_slows[i].factor > 1.05) {
-      FaultPlan cand = cur;
-      cand.shard_slows[i].factor = 1.0 + (cand.shard_slows[i].factor - 1.0) / 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  const auto shrink_rate = [&](auto member) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      while ((cur.*member)[i].rate > 0.02) {
-        FaultPlan cand = cur;
-        (cand.*member)[i].rate /= 2;
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_rate(&FaultPlan::bit_flips);
-  shrink_rate(&FaultPlan::torn_writes);
-  shrink_rate(&FaultPlan::disk_errors);
-  return cur;
-}
-
 ChaosReport RunRefreshChaosSearch(const RefreshChaosOptions& opts) {
-  ChaosReport report;
-  for (const int shards : opts.shard_counts) {
-    RefreshChaosTrial trial(opts, shards);
-    // Per-shard-count stream (cf. serve_chaos.cc): adding a size never
-    // reshuffles the plans another size already explored.
-    Rng rng(opts.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<std::uint64_t>(shards) + 0x5246);
-    for (int i = 0; i < opts.plans; ++i) {
-      const FaultPlan plan = RandomRefreshPlan(
-          rng, shards, static_cast<std::uint64_t>(opts.requests));
-      ++report.trials;
-      const auto reason = trial.Check(plan);
-      if (opts.verbose) {
-        std::fprintf(stderr, "refresh-chaos shards=%d plan %d/%d [%s]: %s\n",
-                     shards, i + 1, opts.plans, plan.ToSpec().c_str(),
-                     reason ? reason->c_str() : "ok");
-      }
-      if (reason.has_value()) {
-        ChaosFailure failure;
-        failure.procs = shards;
-        failure.original = plan;
-        failure.reason = *reason;
-        failure.plan = trial.Shrink(plan);
-        if (opts.verbose) {
-          std::fprintf(stderr,
-                       "refresh-chaos shards=%d plan %d shrunk to [%s]\n",
-                       shards, i + 1, failure.plan.ToSpec().c_str());
-        }
-        report.failures.push_back(std::move(failure));
-      }
-    }
-  }
-  return report;
+  const auto requests = static_cast<std::uint64_t>(opts.requests);
+  return RunSearch(
+      opts, {"refresh-chaos shards", 0x5246, requests,
+             [&](Rng& rng, int shards) {
+               return RandomRefreshPlan(rng, shards, requests);
+             },
+             [&](int shards) {
+               return std::make_unique<RefreshChaosTrial>(opts, shards);
+             }});
 }
 
 }  // namespace chaos

@@ -1,10 +1,10 @@
 // Chaos search over online-refresh fault plans.
 //
-// The serve-tier harness (chaos/serve_chaos.h) checks "no wrong answers"
-// against ONE immutable cube. This harness attacks the hard part of
-// src/refresh: a refresh swapping a new snapshot epoch into the serving
-// tier UNDER TRAFFIC, with the coordinator crashing at arbitrary phases of
-// the two-phase swap and rank-0 disk clauses corrupting the snapshot bytes.
+// The serve tier (chaos/serve_chaos.h) checks "no wrong answers" against
+// ONE immutable cube. This tier attacks the hard part of src/refresh: a
+// refresh swapping a new snapshot epoch into the serving tier UNDER
+// TRAFFIC, with the coordinator crashing at arbitrary phases of the
+// two-phase swap and rank-0 disk clauses corrupting the snapshot bytes.
 // Its invariant:
 //
 //   OLD OR NEW, NEVER A BLEND. Every OK response — before, during, and
@@ -14,28 +14,26 @@
 //   both snapshots is the unforgivable outcome; so is a recovered cube that
 //   equals neither golden cube.
 //
-// A trial drives a deterministic query stream through a Router/ShardSet on
-// a ManualServeClock. RefreshOptions::on_phase injects a burst of that
-// stream at entry to EVERY swap phase (prepare, between per-shard commits,
-// pre-commit, post-commit), so requests interleave with each swap step
-// deterministically. A refreshkill crash is followed by a simulated process
-// restart: the shard set is torn down, SnapshotStore::Recover picks the
-// newest committed epoch (or the caller falls back to the pre-refresh base
-// cube), and the remaining stream replays against the recovered state.
-// Failing plans shrink ddmin-style and report through the shared
-// ChaosReport, like both sibling harnesses.
+// A trial replays the serve tier's fixed query stream, with both golden
+// answers per request, through a ServingTier on its manual clock.
+// RefreshOptions::on_phase injects a burst of that stream at entry to EVERY
+// swap phase (prepare, between per-shard commits, pre-commit, post-commit),
+// so requests interleave with each swap step deterministically. A
+// refreshkill crash is followed by a simulated process restart: the shard
+// set is torn down, SnapshotStore::Recover picks the newest committed epoch
+// (or the caller falls back to the pre-refresh base cube), and the
+// remaining stream replays against the recovered state.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "chaos/explorer.h"
+#include "chaos/search.h"
+#include "chaos/serve_chaos.h"
 #include "common/rng.h"
 #include "net/fault.h"
-#include "query/engine.h"
 #include "relation/schema.h"
 #include "seqcube/cube_result.h"
 #include "serve/workload.h"
@@ -43,17 +41,10 @@
 namespace sncube {
 namespace chaos {
 
-struct RefreshChaosOptions {
-  // Random refresh plans to try per shard count.
-  int plans = 16;
-  // Master seed: plan generation and the query workload derive from it.
-  std::uint64_t seed = 1;
-  // Shard counts to exercise (phase 3 has shards-1 distinct kill points).
-  std::vector<int> shard_counts = {2, 4};
-  // Synthetic BASE dataset the pre-refresh cube is built over.
-  std::uint64_t rows = 500;
-  std::vector<std::uint32_t> cards = {8, 5, 3};
-  std::uint64_t data_seed = 29;
+// SearchOptions::sizes are shard counts (phase 3 has shards-1 distinct
+// kill points); rows and cards describe the BASE dataset.
+struct RefreshChaosOptions : SearchOptions {
+  RefreshChaosOptions() { rows = 500; }
   // The insert-only delta ingested by the refresh (disjoint seed stream, so
   // the post-refresh cube differs from the base on most views).
   std::uint64_t delta_rows = 200;
@@ -75,8 +66,6 @@ struct RefreshChaosOptions {
   bool pin_epoch = true;
   // Snapshot store scratch root; empty = system temp (pid-scoped).
   std::string snapshot_root;
-  // Progress lines to stderr.
-  bool verbose = false;
 };
 
 // Draws one random refresh plan for `shards` shards over a `requests`-long
@@ -90,44 +79,30 @@ FaultPlan RandomRefreshPlan(Rng& rng, int shards, std::uint64_t requests);
 // one fault-free refresh pipeline to get the post-refresh golden cube, and
 // precomputes the query stream with BOTH golden answers per request; all of
 // it is reused across plans.
-class RefreshChaosTrial {
+class RefreshChaosTrial final : public Trial {
  public:
   RefreshChaosTrial(const RefreshChaosOptions& opts, int shards);
-  ~RefreshChaosTrial();
 
   // Replays the stream around one Refresh() under `plan`. Returns
   // std::nullopt when every response (and the recovered cube, if the plan
   // crashed the coordinator) upholds old-or-new; otherwise a description of
   // the first blend.
-  std::optional<std::string> Check(const FaultPlan& plan);
-
-  // Greedy ddmin: drop clauses to a fixpoint, then shrink serve windows,
-  // slow factors, and disk-fault rates while the failure persists.
-  FaultPlan Shrink(const FaultPlan& plan);
-
-  const CubeResult& pre_cube() const { return pre_cube_; }
-  const CubeResult& post_cube() const { return post_cube_; }
+  std::optional<std::string> Check(const FaultPlan& plan) override;
 
  private:
-  // "" when `cube` is byte-identical to the pre- or post-refresh golden
-  // cube, else which views diverge.
-  std::string MatchesEitherGolden(const CubeResult& cube) const;
-
   RefreshChaosOptions opts_;
   int shards_;
   Schema schema_;
   CubeResult pre_cube_;
   Relation delta_;
   CubeResult post_cube_;
-  std::vector<Query> requests_;
-  std::vector<Relation> golden_pre_;   // per request, answer over pre_cube_
-  std::vector<Relation> golden_post_;  // per request, answer over post_cube_
-  std::string root_;                   // scratch root for snapshot stores
-  std::uint64_t next_check_id_ = 0;    // distinct store dir per Check
+  GoldenStream stream_;              // goldens: {pre-refresh, post-refresh}
+  std::string root_;                 // scratch root for snapshot stores
+  std::uint64_t next_check_id_ = 0;  // distinct store dir per Check
 };
 
-// Runs the full search: per shard count, `plans` random plans; failures are
-// shrunk and reported.
+// The refresh search; failures report the shard count in
+// ChaosFailure::procs.
 ChaosReport RunRefreshChaosSearch(const RefreshChaosOptions& opts);
 
 }  // namespace chaos

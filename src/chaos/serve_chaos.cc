@@ -1,16 +1,13 @@
 #include "chaos/serve_chaos.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <memory>
 #include <sstream>
-#include <utility>
 
 #include "common/status.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
 #include "seqcube/seq_cube.h"
-#include "serve/retry_policy.h"
-#include "serve/router.h"
-#include "serve/shard_set.h"
 
 namespace sncube {
 namespace chaos {
@@ -46,193 +43,124 @@ FaultPlan RandomServePlan(Rng& rng, int shards, std::uint64_t requests) {
   return plan;
 }
 
-ServeChaosTrial::ServeChaosTrial(const ServeChaosOptions& opts, int shards)
-    : opts_(opts), shards_(shards) {
-  DatasetSpec spec;
-  spec.rows = opts_.rows;
-  spec.cardinalities = opts_.cards;
-  spec.seed = opts_.data_seed;
-  schema_ = spec.MakeSchema();
-  const Relation raw = GenerateSlice(spec, 1, 0);
-  cube_ = SequentialCube(raw, schema_, AllViews(schema_.dims()));
-  golden_ = std::make_unique<CubeQueryEngine>(cube_);
-
-  // The request sequence is fixed once per trial harness: the same queries,
-  // in the same order, replay against every candidate plan — so a shrink
-  // step only ever changes the faults, never the traffic.
-  WorkloadSpec wl = opts_.workload;
-  wl.seed = opts_.seed * 0x9E3779B97F4A7C15ULL + 17;
-  const QueryMix mix(cube_, schema_, wl);
-  Rng draw(wl.seed + 1);
-  requests_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_rels_.reserve(static_cast<std::size_t>(opts_.requests));
-  for (int i = 0; i < opts_.requests; ++i) {
-    const Query q = mix.Sample(draw);
-    requests_.push_back(q);
-    golden_rels_.push_back(golden_->Execute(q).rel);
+GoldenStream MakeGoldenStream(
+    const CubeResult& base, const Schema& schema, const WorkloadSpec& workload,
+    int requests, const std::vector<const CubeResult*>& answers_from) {
+  const QueryMix mix(base, schema, workload);
+  Rng draw(workload.seed + 1);
+  GoldenStream stream;
+  for (int i = 0; i < requests; ++i) stream.queries.push_back(mix.Sample(draw));
+  stream.goldens.resize(stream.queries.size());
+  for (const CubeResult* cube : answers_from) {
+    const CubeQueryEngine engine(*cube);
+    for (std::size_t i = 0; i < stream.queries.size(); ++i) {
+      stream.goldens[i].push_back(engine.Execute(stream.queries[i]).rel);
+    }
   }
+  return stream;
 }
 
-ServeChaosTrial::~ServeChaosTrial() = default;
+namespace {
 
-std::optional<std::string> ServeChaosTrial::Check(const FaultPlan& plan) {
-  ManualServeClock clock;
-  ShardSetOptions sopts;
-  sopts.shards = shards_;
-  sopts.clock = &clock;
-  sopts.server.workers = 2;
-  // Shard-side wall-clock deadlines are the one nondeterministic knob; the
-  // chaos trial keeps them off so every trajectory is a pure function of
-  // the plan.
-  sopts.server.deadline = std::chrono::microseconds(0);
-  ShardSet shard_set(cube_, sopts, plan);
+ShardSetOptions ChaosShardSetOptions(int shards, ServeClock* clock,
+                                     bool pin_epoch) {
+  ShardSetOptions opts;
+  opts.shards = shards;
+  opts.clock = clock;
+  opts.server.workers = 2;
+  opts.pin_epoch = pin_epoch;
+  return opts;
+}
 
-  RouterOptions ropts;
-  ropts.per_try_us = 1000;       // trips when slowdown > ~6x nominal
-  ropts.hedge_delay_us = 400;    // hedges on mildly slow tries
-  ropts.max_tries = 3;
-  ropts.backoff.base_us = 500;
-  ropts.backoff.cap_us = 4000;
-  ropts.breaker.failure_threshold = 4;
-  ropts.breaker.window_us = 100000;
-  ropts.breaker.cooldown_us = 2000;
-  ropts.probe_every = 16;
-  ropts.pin_scatter_view = opts_.pin_scatter_view;
-  Router router(shard_set, ropts);
+RouterOptions ChaosRouterOptions(bool pin_scatter_view) {
+  RouterOptions opts;
+  opts.per_try_us = 1000;     // trips when slowdown > ~6x nominal
+  opts.hedge_delay_us = 400;  // hedges on mildly slow tries
+  opts.max_tries = 3;
+  opts.backoff.base_us = 500;
+  opts.backoff.cap_us = 4000;
+  opts.breaker.failure_threshold = 4;
+  opts.breaker.window_us = 100000;
+  opts.breaker.cooldown_us = 2000;
+  opts.probe_every = 16;
+  opts.pin_scatter_view = pin_scatter_view;
+  return opts;
+}
 
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
+}  // namespace
+
+ServingTier::ServingTier(const CubeResult& cube, int shards,
+                         const FaultPlan& plan, bool pin_scatter_view,
+                         bool pin_epoch)
+    : shard_set_(cube, ChaosShardSetOptions(shards, &clock_, pin_epoch), plan),
+      router_(shard_set_, ChaosRouterOptions(pin_scatter_view)) {}
+
+std::optional<std::string> ServingTier::Replay(const GoldenStream& stream,
+                                               std::size_t* cursor,
+                                               std::size_t count,
+                                               const std::string& where) {
+  for (; count > 0 && *cursor < stream.queries.size(); --count) {
     // Virtual inter-arrival gap: lets breaker cooldowns elapse mid-run so
     // recovery (open → half-open → closed) is exercised deterministically.
-    clock.Advance(200);
-    const RouterResult r = router.Execute(requests_[i]);
+    clock_.Advance(200);
+    const std::size_t i = (*cursor)++;
+    const RouterResult r = router_.Execute(stream.queries[i]);
     if (r.outcome != RouterOutcome::kOk) continue;  // typed — allowed
-    if (r.answer == nullptr) {
-      return "request " + std::to_string(i) + " reported ok with no answer";
+    const std::vector<Relation>& goldens = stream.goldens[i];
+    if (r.answer != nullptr &&
+        std::find(goldens.begin(), goldens.end(), r.answer->rel) !=
+            goldens.end()) {
+      continue;
     }
-    if (!(r.answer->rel == golden_rels_[i])) {
-      std::ostringstream os;
-      os << "request " << i << " (" << (r.scatter ? "scatter" : "point")
-         << ", view mask " << r.answer->answered_from.mask()
-         << ") returned a WRONG answer: " << r.answer->rel.size()
-         << " rows vs golden " << golden_rels_[i].size();
+    std::ostringstream os;
+    os << "request " << i << " (" << where << ", epoch " << r.epoch << ", "
+       << (r.scatter ? "scatter" : "point");
+    if (r.answer == nullptr) {
+      os << ") reported ok with no answer";
       return os.str();
     }
+    // Against one golden a mismatch is a wrong answer; against the pre- and
+    // post-refresh goldens it is a blend of the two snapshots.
+    os << ", view mask " << r.answer->answered_from.mask() << ") returned "
+       << (goldens.size() == 1 ? "a WRONG answer" : "a BLEND") << ": "
+       << r.answer->rel.size() << " rows match no golden (";
+    for (std::size_t g = 0; g < goldens.size(); ++g) {
+      os << (g ? ", " : "") << goldens[g].size() << " rows";
+    }
+    os << ")";
+    return os.str();
   }
   return std::nullopt;
 }
 
-FaultPlan ServeChaosTrial::Shrink(const FaultPlan& plan) {
-  FaultPlan cur = plan;
-  const auto fails = [&](const FaultPlan& p) { return Check(p).has_value(); };
+ServeChaosTrial::ServeChaosTrial(const ServeChaosOptions& opts, int shards)
+    : opts_(opts), shards_(shards) {
+  const DatasetSpec spec = opts_.dataset();
+  const Schema schema = spec.MakeSchema();
+  cube_ = SequentialCube(GenerateSlice(spec, 1, 0), schema,
+                         AllViews(schema.dims()));
+  WorkloadSpec wl = opts_.workload;
+  wl.seed = opts_.seed * 0x9E3779B97F4A7C15ULL + 17;
+  stream_ = MakeGoldenStream(cube_, schema, wl, opts_.requests, {&cube_});
+}
 
-  // Phase 1: ddmin-style greedy clause removal to a fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto try_drop = [&](auto member) {
-      auto& vec = cur.*member;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        FaultPlan cand = cur;
-        auto& cand_vec = cand.*member;
-        cand_vec.erase(cand_vec.begin() + static_cast<std::ptrdiff_t>(i));
-        if (fails(cand)) {
-          cur = std::move(cand);
-          changed = true;
-          return;
-        }
-      }
-    };
-    try_drop(&FaultPlan::shard_kills);
-    if (!changed) try_drop(&FaultPlan::shard_slows);
-  }
-
-  // Phase 2: shrink the surviving windows and factors while the failure
-  // persists — shorter windows, later-to-earlier starts, gentler slowdowns.
-  const auto shrink_window = [&](auto member, auto set_window) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      // Halve the window length (endless windows first become finite).
-      for (;;) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd)
-                ? static_cast<std::uint64_t>(opts_.requests) - c.from
-                : c.until - c.from;
-        if (len <= 1) break;
-        set_window(c, c.from, c.from + len / 2);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-      // Halve the start toward request 0.
-      while ((cur.*member)[i].from > 0) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd) ? 0 : c.until - c.from;
-        const std::uint64_t from = c.from / 2;
-        set_window(c, from,
-                   c.until == FaultPlan::kNoEnd ? FaultPlan::kNoEnd
-                                                : from + len);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_window(&FaultPlan::shard_kills,
-                [](FaultPlan::ShardKill& k, std::uint64_t f, std::uint64_t u) {
-                  k.from = f;
-                  k.until = u;
-                });
-  shrink_window(&FaultPlan::shard_slows,
-                [](FaultPlan::ShardSlow& s, std::uint64_t f, std::uint64_t u) {
-                  s.from = f;
-                  s.until = u;
-                });
-  for (std::size_t i = 0; i < cur.shard_slows.size(); ++i) {
-    while (cur.shard_slows[i].factor > 1.05) {
-      FaultPlan cand = cur;
-      cand.shard_slows[i].factor =
-          1.0 + (cand.shard_slows[i].factor - 1.0) / 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  return cur;
+std::optional<std::string> ServeChaosTrial::Check(const FaultPlan& plan) {
+  ServingTier tier(cube_, shards_, plan, opts_.pin_scatter_view,
+                   /*pin_epoch=*/true);
+  std::size_t cursor = 0;
+  return tier.Replay(stream_, &cursor, stream_.queries.size(), "serve");
 }
 
 ChaosReport RunServeChaosSearch(const ServeChaosOptions& opts) {
-  ChaosReport report;
-  for (const int shards : opts.shard_counts) {
-    ServeChaosTrial trial(opts, shards);
-    // Per-shard-count stream, so adding a size never reshuffles the plans
-    // another size already explored.
-    Rng rng(opts.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<std::uint64_t>(shards) + 0x5157);
-    for (int i = 0; i < opts.plans; ++i) {
-      const FaultPlan plan = RandomServePlan(
-          rng, shards, static_cast<std::uint64_t>(opts.requests));
-      ++report.trials;
-      const auto reason = trial.Check(plan);
-      if (opts.verbose) {
-        std::fprintf(stderr, "serve-chaos shards=%d plan %d/%d [%s]: %s\n",
-                     shards, i + 1, opts.plans, plan.ToSpec().c_str(),
-                     reason ? reason->c_str() : "ok");
-      }
-      if (reason.has_value()) {
-        ChaosFailure failure;
-        failure.procs = shards;
-        failure.original = plan;
-        failure.reason = *reason;
-        failure.plan = trial.Shrink(plan);
-        if (opts.verbose) {
-          std::fprintf(stderr, "serve-chaos shards=%d plan %d shrunk to [%s]\n",
-                       shards, i + 1, failure.plan.ToSpec().c_str());
-        }
-        report.failures.push_back(std::move(failure));
-      }
-    }
-  }
-  return report;
+  const auto requests = static_cast<std::uint64_t>(opts.requests);
+  return RunSearch(
+      opts, {"serve-chaos shards", 0x5157, requests,
+             [&](Rng& rng, int shards) {
+               return RandomServePlan(rng, shards, requests);
+             },
+             [&](int shards) {
+               return std::make_unique<ServeChaosTrial>(opts, shards);
+             }});
 }
 
 }  // namespace chaos

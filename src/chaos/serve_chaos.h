@@ -1,8 +1,9 @@
-// Chaos search over serve-tier fault plans.
+// Chaos search over serve-tier fault plans, and the serving-tier harness it
+// shares with the refresh search (chaos/refresh_chaos.h).
 //
-// The build-side explorer (chaos/explorer.h) hammers on integrity: a
-// completed build is byte-identical to a fault-free one. This harness is its
-// serving-tier sibling, and its invariant is the router's contract:
+// The build tier (chaos/explorer.h) hammers on integrity: a completed
+// build is byte-identical to a fault-free one. This tier's invariant is the
+// router's contract:
 //
 //   NO WRONG ANSWERS, EVER. Every Router::Execute response is either
 //   bit-correct (equal to the single-engine golden answer over the full
@@ -10,45 +11,77 @@
 //   shed. Degraded service is acceptable under faults; silent corruption of
 //   an answer is the one unforgivable outcome.
 //
-// A trial runs a deterministic query workload through a Router over a
-// ShardSet driven by a ManualServeClock, under a serve fault plan
-// (shardkill/shardslow windows keyed on request sequence numbers — see
-// net/fault.h). Determinism is total: virtual time only advances through
-// policy sleeps and injected slowness, so a given (plan, seed) replays
-// bit-for-bit, which makes greedy plan shrinking sound. Failing plans are
-// shrunk ddmin-style (drop clauses, then shrink windows and factors) and
-// reported through the same ChaosReport shape the build explorer uses, so
-// the nightly chaos job handles both tiers uniformly.
+// A trial replays a fixed query stream through a Router over a ShardSet
+// driven by a ManualServeClock, under a serve fault plan (shardkill/
+// shardslow windows keyed on request sequence numbers — see net/fault.h).
+// Determinism is total: virtual time only advances through policy sleeps,
+// injected slowness and the fixed inter-arrival gap, so a given (plan,
+// seed) replays bit-for-bit, which makes plan shrinking sound.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "chaos/explorer.h"
+#include "chaos/search.h"
 #include "common/rng.h"
 #include "net/fault.h"
 #include "query/engine.h"
 #include "relation/schema.h"
 #include "seqcube/cube_result.h"
+#include "serve/retry_policy.h"
+#include "serve/router.h"
+#include "serve/shard_set.h"
 #include "serve/workload.h"
 
 namespace sncube {
 namespace chaos {
 
-struct ServeChaosOptions {
-  // Random serve plans to try per shard count.
-  int plans = 16;
-  // Master seed: plan generation and the query workload derive from it.
-  std::uint64_t seed = 1;
-  // Shard counts to exercise.
-  std::vector<int> shard_counts = {2, 4};
-  // Synthetic dataset the served cube is built over.
-  std::uint64_t rows = 600;
-  std::vector<std::uint32_t> cards = {8, 5, 3};
-  std::uint64_t data_seed = 29;
+// A fixed request stream with each request's golden answers. The same
+// queries replay, in the same order, against every candidate plan, so a
+// shrink step only ever changes the faults, never the traffic.
+struct GoldenStream {
+  std::vector<Query> queries;
+  // goldens[i]: the answers to queries[i] that uphold the invariant.
+  std::vector<std::vector<Relation>> goldens;
+};
+
+// Samples `requests` queries from a QueryMix over `base` (seeded from
+// `workload.seed`) and answers each over every cube of `answers_from`.
+GoldenStream MakeGoldenStream(
+    const CubeResult& base, const Schema& schema, const WorkloadSpec& workload,
+    int requests, const std::vector<const CubeResult*>& answers_from);
+
+// The sharded serving tier under one plan: a ShardSet and a Router on a
+// fresh ManualServeClock, with the chaos policy preset (tight per-try
+// deadlines, hedging, a twitchy breaker).
+class ServingTier {
+ public:
+  // pin_scatter_view and pin_epoch are the TEST-ONLY holes the two searches
+  // re-open (RouterOptions::pin_scatter_view, ShardSetOptions::pin_epoch).
+  ServingTier(const CubeResult& cube, int shards, const FaultPlan& plan,
+              bool pin_scatter_view, bool pin_epoch);
+
+  ShardSet& shard_set() { return shard_set_; }
+
+  // Replays up to `count` requests of `stream` from `*cursor` on, advancing
+  // the cursor, and holds every OK response to one of its request's
+  // goldens; typed errors and sheds are allowed. Returns the first
+  // violation, described with `where` (the trial phase it happened in).
+  std::optional<std::string> Replay(const GoldenStream& stream,
+                                    std::size_t* cursor, std::size_t count,
+                                    const std::string& where);
+
+ private:
+  ManualServeClock clock_;
+  ShardSet shard_set_;
+  Router router_;
+};
+
+// SearchOptions::sizes are shard counts.
+struct ServeChaosOptions : SearchOptions {
   // Router requests per trial; fault windows are drawn inside [0, requests).
   int requests = 200;
   // Query mix the requests are sampled from.
@@ -58,8 +91,6 @@ struct ServeChaosOptions {
   // pin_scatter_view), re-opening the mixed-view wrong-answer bug so tests
   // can demonstrate this harness catching and shrinking a real corruption.
   bool pin_scatter_view = true;
-  // Progress lines to stderr.
-  bool verbose = false;
 };
 
 // Draws one random serve plan for `shards` shards over a `requests`-long
@@ -67,36 +98,25 @@ struct ServeChaosOptions {
 // Never empty; deterministic under `rng`. Exposed for tests.
 FaultPlan RandomServePlan(Rng& rng, int shards, std::uint64_t requests);
 
-// One shard count's trial harness. Construction builds the cube once,
-// precomputes every request's golden answer from a single full-cube engine,
-// and reuses both across plans.
-class ServeChaosTrial {
+// One shard count's trial harness. Construction builds the cube once and
+// answers every request of the stream over it.
+class ServeChaosTrial final : public Trial {
  public:
   ServeChaosTrial(const ServeChaosOptions& opts, int shards);
-  ~ServeChaosTrial();
 
-  // Replays the workload through a freshly built ShardSet + Router under
-  // `plan`. Returns std::nullopt when every response upholds the invariant,
-  // otherwise a human-readable description of the first wrong answer.
-  std::optional<std::string> Check(const FaultPlan& plan);
-
-  // Shrinks a plan for which Check fails to a minimal still-failing plan:
-  // greedy clause removal to a fixpoint, then window/factor shrinking.
-  FaultPlan Shrink(const FaultPlan& plan);
+  // Replays the stream through a fresh ServingTier under `plan`. Returns
+  // std::nullopt when every response upholds the invariant, otherwise a
+  // description of the first wrong answer.
+  std::optional<std::string> Check(const FaultPlan& plan) override;
 
  private:
   ServeChaosOptions opts_;
   int shards_;
-  Schema schema_;
   CubeResult cube_;
-  std::unique_ptr<CubeQueryEngine> golden_;
-  std::vector<Query> requests_;
-  std::vector<Relation> golden_rels_;  // golden answer per request
+  GoldenStream stream_;
 };
 
-// The full search: for each shard count, `plans` random serve plans, each
-// checked and — on failure — shrunk. Deterministic given the options.
-// Failures report the shard count in ChaosFailure::procs.
+// The serve search; failures report the shard count in ChaosFailure::procs.
 ChaosReport RunServeChaosSearch(const ServeChaosOptions& opts);
 
 }  // namespace chaos

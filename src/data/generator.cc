@@ -1,29 +1,21 @@
 #include "data/generator.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/status.h"
 
 namespace sncube {
 namespace {
 
-// (cardinality, alpha) pairs in the schema's decreasing-cardinality order.
-// Kept in one place so the generated columns line up with Schema's sort.
+// (cardinality, alpha) pairs in the schema's decreasing-cardinality order,
+// so the generated columns line up with Schema's sort.
 std::vector<std::pair<std::uint32_t, double>> SortedDims(
     const DatasetSpec& spec) {
-  SNCUBE_CHECK(!spec.cardinalities.empty());
   SNCUBE_CHECK(spec.alphas.empty() ||
                spec.alphas.size() == spec.cardinalities.size());
-  const std::size_t d = spec.cardinalities.size();
-  std::vector<int> perm(d);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&](int a, int b) {
-    return spec.cardinalities[a] > spec.cardinalities[b];
-  });
+  const Schema schema = spec.MakeSchema();
   std::vector<std::pair<std::uint32_t, double>> dims;
-  dims.reserve(d);
-  for (int i : perm) {
+  for (int i : schema.permutation()) {
     dims.emplace_back(spec.cardinalities[i],
                       spec.alphas.empty() ? 0.0 : spec.alphas[i]);
   }

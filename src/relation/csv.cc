@@ -46,10 +46,24 @@ void WriteCsv(std::ostream& os, const Relation& rel,
 }
 
 Relation ReadCsv(std::istream& is) {
+  std::vector<std::string> names;
+  return ReadCsv(is, names);
+}
+
+Relation ReadCsv(std::istream& is, std::vector<std::string>& names) {
   std::string line;
   if (!std::getline(is, line)) Reject(1, 1, "missing header");
-  const auto cells_per_row =
-      static_cast<std::size_t>(std::ranges::count(line, ',')) + 1;
+  std::string_view header(line);
+  if (header.ends_with('\r')) header.remove_suffix(1);
+  names.clear();
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = header.find(',', start);
+    names.emplace_back(header.substr(start, comma - start));
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  names.pop_back();  // the measure column
+  const std::size_t cells_per_row = names.size() + 1;
   Relation rel(static_cast<int>(cells_per_row) - 1);
   std::vector<Key> keys(cells_per_row - 1);
   std::vector<std::string_view> cells;

@@ -26,6 +26,9 @@ void WriteCsv(std::ostream& os, const Relation& rel,
 // decimal integer: keys in [0, 2^32), the measure an int64 ('\r' line ends
 // are fine). Anything else throws SncubeInputError naming line and column.
 Relation ReadCsv(std::istream& is);
+// The same, and sets `names` to the header's key column names, in column
+// order (the measure column's name is not among them).
+Relation ReadCsv(std::istream& is, std::vector<std::string>& names);
 
 // Parses the whole of `text` as an integer T in `base` into `value`:
 // from_chars takes no sign on unsigned types and no blanks, and reports

@@ -20,14 +20,14 @@ Schema::Schema(std::vector<std::uint32_t> cardinalities,
 
   // Stable-sort dimension indices by decreasing cardinality, then apply the
   // permutation to both vectors.
-  std::vector<int> perm(d);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&](int a, int b) {
+  perm_.resize(d);
+  std::iota(perm_.begin(), perm_.end(), 0);
+  std::stable_sort(perm_.begin(), perm_.end(), [&](int a, int b) {
     return cardinalities[a] > cardinalities[b];
   });
   cards_.reserve(d);
   names_.reserve(d);
-  for (int i : perm) {
+  for (int i : perm_) {
     cards_.push_back(cardinalities[i]);
     names_.push_back(std::move(names[i]));
   }

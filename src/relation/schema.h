@@ -27,8 +27,13 @@ class Schema {
   std::uint32_t cardinality(int dim) const { return cards_.at(dim); }
   const std::vector<std::uint32_t>& cardinalities() const { return cards_; }
   const std::string& name(int dim) const { return names_.at(dim); }
+  // The sort this schema applied: dimension i is the caller's dimension
+  // permutation()[i]. Ascending (the identity) when the caller's dimensions
+  // were already in decreasing-cardinality order.
+  const std::vector<int>& permutation() const { return perm_; }
 
  private:
+  std::vector<int> perm_;
   std::vector<std::uint32_t> cards_;
   std::vector<std::string> names_;
 };

@@ -27,9 +27,24 @@ void Require(bool ok, std::string_view what) {
 // the parts' rows in order, serialized through `buf` at most
 // ViewStore::kWriteChunkBytes at a time.
 void WriteView(const std::filesystem::path& path, const ViewResult& head,
-               std::span<const Relation* const> parts, ByteBuffer& buf) {
+               std::span<const Relation* const> parts,
+               [[maybe_unused]] const Schema& schema,
+               ByteBuffer& buf) {
   std::uint64_t rows = 0;
   for (const Relation* rel : parts) rows += rel->size();
+#ifndef NDEBUG
+  // Build infers each cardinality from its column and refresh rejects delta
+  // keys outside it, so every stored key lies below its cardinality.
+  const std::vector<int> dims = head.id.DimList();
+  for (const Relation* rel : parts) {
+    for (std::size_t r = 0; r < rel->size(); ++r) {
+      for (std::size_t c = 0; c < dims.size(); ++c) {
+        SNCUBE_DCHECK(rel->key(r, static_cast<int>(c)) <
+                      schema.cardinality(dims[c]));
+      }
+    }
+  }
+#endif
   buf.clear();
   PutViewHeader(buf, head, rows);
 
@@ -175,7 +190,7 @@ Schema ViewStore::LoadSchema() const {
   std::vector<std::uint32_t> cards;
   for (std::size_t i = 2; i < end; ++i) {
     const std::string_view line = lines[i];
-    const std::size_t space = line.find(' ');
+    const std::size_t space = line.rfind(' ');  // names may hold spaces
     std::uint32_t card = 0;
     // Schema would re-sort ascending cardinalities, moving names away from
     // the dimension indices the view files' masks use.
@@ -243,7 +258,7 @@ void ViewStore::SaveCube(std::span<const CubeResult> shards,
     for (std::size_t s = 0; s < shards.size(); ++s) {
       parts[s] = &shards[s].views.at(id).rel;
     }
-    WriteView(PathFor(id), vr, parts, buf);
+    WriteView(PathFor(id), vr, parts, schema, buf);
   }
 }
 

@@ -54,6 +54,9 @@ SubmitStatus CubeServer::Submit(const Query& query, Callback done) {
   req.key = CanonicalQueryKey(query);
   req.done = std::move(done);
   req.enqueued = std::chrono::steady_clock::now();
+  if (options_.deadline.count() > 0) {
+    req.submitted_us = DeadlineClock().NowMicros();
+  }
   {
     MutexLock lock(mu_);
     if (stopping_) return SubmitStatus::kShutdown;
@@ -120,8 +123,7 @@ void CubeServer::Process(Request& req) {
   // deadline is dropped without doing the query work — the client stopped
   // waiting, so executing it would only delay requests that can still make
   // their deadlines.
-  if (options_.deadline.count() > 0 &&
-      std::chrono::steady_clock::now() - req.enqueued > options_.deadline) {
+  if (Expired(req)) {
     timed_out_.fetch_add(1, std::memory_order_relaxed);
     if (req.done) req.done(nullptr, QueryOutcome::kTimedOut);
     return;
@@ -155,7 +157,7 @@ void CubeServer::Process(Request& req) {
     outcome = QueryOutcome::kFailed;
     answer = nullptr;
     failed_.fetch_add(1, std::memory_order_relaxed);
-  } else if (options_.deadline.count() > 0 && elapsed > options_.deadline) {
+  } else if (Expired(req)) {
     // The query finished, but past its deadline: the client already gave up,
     // so delivering the answer would misreport it as served in budget. The
     // freshly computed answer stays in the cache — a retry will hit it.
@@ -167,6 +169,17 @@ void CubeServer::Process(Request& req) {
     completed_.fetch_add(1, std::memory_order_relaxed);
   }
   if (req.done) req.done(std::move(answer), outcome);
+}
+
+ServeClock& CubeServer::DeadlineClock() const {
+  static WallServeClock wall_clock;
+  return options_.clock != nullptr ? *options_.clock : wall_clock;
+}
+
+bool CubeServer::Expired(const Request& req) const {
+  return options_.deadline.count() > 0 &&
+         DeadlineClock().NowMicros() - req.submitted_us >
+             static_cast<std::uint64_t>(options_.deadline.count());
 }
 
 void CubeServer::Shutdown() {

@@ -42,6 +42,7 @@
 #include "serve/latency_histogram.h"
 #include "serve/lock_order.h"
 #include "serve/result_cache.h"
+#include "serve/retry_policy.h"
 #include "serve/wall_clock.h"
 
 namespace sncube {
@@ -62,6 +63,11 @@ struct ServerOptions {
   // sheds exactly the requests whose answers the client has already given up
   // on.
   std::chrono::microseconds deadline{0};
+  // Clock the deadline is measured on; borrowed, must outlive the server.
+  // Null = a wall clock. Read only when `deadline` is nonzero. ShardSet
+  // passes its own clock, so under a ManualServeClock shard-side deadlines
+  // run on virtual time. Latency histograms always use steady_clock.
+  ServeClock* clock = nullptr;
   // When set, every worker records a wall-clock span trace ("request" →
   // "cache-lookup"/"query-exec"/...; rank = worker index) and deposits it
   // here when it retires at Shutdown. The sink must outlive the server.
@@ -166,10 +172,14 @@ class CubeServer {
     std::string key;
     Callback done;
     std::chrono::steady_clock::time_point enqueued;
+    std::uint64_t submitted_us = 0;  // on the deadline clock, when one is set
   };
 
   void WorkerLoop(int worker) SNCUBE_EXCLUDES(mu_);
   void Process(Request& req);
+  ServeClock& DeadlineClock() const;
+  // True when a deadline is set and `req` has outlived it.
+  bool Expired(const Request& req) const;
 
   const ServerOptions options_;
   CubeQueryEngine engine_;

@@ -125,6 +125,7 @@ std::shared_ptr<ShardSet::EpochState> ShardSet::BuildEpochState(
   st->slices = PartitionCubeForServing(full, n_);
   ServerOptions server = options_.server;
   server.epoch = epoch;
+  server.clock = clock_;
   st->copies.resize(static_cast<std::size_t>(n_));
   for (int s = 0; s < n_; ++s) {
     auto& copy = st->copies[static_cast<std::size_t>(s)];

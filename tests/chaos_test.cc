@@ -5,11 +5,13 @@
 // finds a real integrity bug and shrinks it to a minimal reproducing plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
 #include "chaos/explorer.h"
 #include "chaos/refresh_chaos.h"
+#include "chaos/search.h"
 #include "chaos/serve_chaos.h"
 #include "common/rng.h"
 
@@ -38,7 +40,7 @@ TEST(Chaos, SmokeSearchFindsNoIntegrityViolations) {
   chaos::ChaosOptions opts;
   opts.plans = 8;
   opts.seed = 11;
-  opts.procs = {2, 4};
+  opts.sizes = {2, 4};
   opts.rows = 400;
   const chaos::ChaosReport report = chaos::RunChaosSearch(opts);
   EXPECT_EQ(report.trials, 16);
@@ -67,7 +69,10 @@ TEST(Chaos, ShrinksSilentCorruptionBugToMinimalPlan) {
   ASSERT_TRUE(failing.has_value())
       << "no seed reproduced the silent-corruption bug";
 
-  const FaultPlan minimal = trial.Shrink(*failing);
+  const FaultPlan minimal =
+      chaos::ShrinkPlan(*failing, 0, [&](const FaultPlan& p) {
+        return trial.Check(p).has_value();
+      });
   EXPECT_LE(ClauseCount(minimal), 2u) << minimal.ToSpec();
   // The shrunk plan still reproduces, and its spec round-trips (it is a
   // complete, replayable bug report).
@@ -80,6 +85,77 @@ TEST(Chaos, ShrinksSilentCorruptionBugToMinimalPlan) {
   hardened_opts.verify_restore = true;
   chaos::ChaosTrial hardened(hardened_opts, 2);
   EXPECT_EQ(hardened.Check(minimal), std::nullopt);
+}
+
+TEST(ShrinkPlan, EveryClauseFamilyShrinksToWhatThePredicateNeedsAtItsFloor) {
+  // A synthetic "still fails" predicate, no cluster: the bug needs a kill of
+  // rank 1, a straggling rank 0, bit flips on rank 1, shard 2 down, shard 3
+  // slow and a coordinator crash at swap phase 4 — at any superstep, factor,
+  // rate or window. Everything else is noise the shrinker must drop.
+  const auto needs = [](const FaultPlan& p) {
+    const auto any = [](const auto& clauses, const auto& pred) {
+      return std::any_of(clauses.begin(), clauses.end(), pred);
+    };
+    return any(p.kills, [](const auto& k) { return k.rank == 1; }) &&
+           any(p.stragglers,
+               [](const auto& s) { return s.rank == 0 && s.factor > 1; }) &&
+           any(p.bit_flips,
+               [](const auto& b) { return b.rank == 1 && b.rate > 0; }) &&
+           any(p.shard_kills, [](const auto& k) { return k.shard == 2; }) &&
+           any(p.shard_slows,
+               [](const auto& s) { return s.shard == 3 && s.factor > 1; }) &&
+           any(p.refresh_kills, [](const auto& k) { return k.phase == 4; });
+  };
+  const FaultPlan plan = FaultPlan::Parse(
+      "kill:0@20;kill:1@17;slow:0x3;slow:1x2.5;diskerr:0:0.3;bitflip:1:0.6;"
+      "tornwrite:0:0.2;shardkill:0:5-40;shardkill:2:30;shardslow:1:10-90:4;"
+      "shardslow:3:50:6;refreshkill:2;refreshkill:4;seed:7");
+  ASSERT_TRUE(needs(plan));
+  const FaultPlan minimal = chaos::ShrinkPlan(plan, 100, needs);
+  EXPECT_TRUE(needs(minimal));
+
+  // Exactly the needed clauses survive...
+  ASSERT_EQ(minimal.kills.size(), 1u);
+  ASSERT_EQ(minimal.stragglers.size(), 1u);
+  EXPECT_TRUE(minimal.disk_errors.empty());
+  ASSERT_EQ(minimal.bit_flips.size(), 1u);
+  EXPECT_TRUE(minimal.torn_writes.empty());
+  ASSERT_EQ(minimal.shard_kills.size(), 1u);
+  ASSERT_EQ(minimal.shard_slows.size(), 1u);
+  ASSERT_EQ(minimal.refresh_kills.size(), 1u);
+  EXPECT_EQ(minimal.refresh_kills[0].phase, 4);
+  EXPECT_EQ(minimal.seed, 7u);
+  // ...with every number at its floor: superstep 0, factors and rates one
+  // halving from their floors, and windows (the endless ones included) one
+  // request long at request 0.
+  EXPECT_EQ(minimal.kills[0].rank, 1);
+  EXPECT_EQ(minimal.kills[0].at_superstep, 0u);
+  EXPECT_LE(minimal.stragglers[0].factor, chaos::kFactorFloor);
+  EXPECT_GT(minimal.stragglers[0].factor, 1 + (chaos::kFactorFloor - 1) / 2);
+  EXPECT_LE(minimal.bit_flips[0].rate, chaos::kRateFloor);
+  EXPECT_GT(minimal.bit_flips[0].rate, chaos::kRateFloor / 2);
+  EXPECT_EQ(minimal.shard_kills[0].from, 0u);
+  EXPECT_EQ(minimal.shard_kills[0].until, 1u);
+  EXPECT_EQ(minimal.shard_slows[0].from, 0u);
+  EXPECT_EQ(minimal.shard_slows[0].until, 1u);
+  EXPECT_LE(minimal.shard_slows[0].factor, chaos::kFactorFloor);
+
+  // Deterministic, and the minimal plan is a replayable spec.
+  EXPECT_EQ(chaos::ShrinkPlan(plan, 100, needs).ToSpec(), minimal.ToSpec());
+  EXPECT_EQ(FaultPlan::Parse(minimal.ToSpec()).ToSpec(), minimal.ToSpec());
+}
+
+TEST(ShrinkPlan, NumbersStopAtTheSmallestValueThatStillFails) {
+  // A kill that must come at superstep 5 or later and a window that must
+  // cover request 12: halving stops one step before the failure vanishes.
+  const auto needs = [](const FaultPlan& p) {
+    return !p.kills.empty() && p.kills[0].at_superstep >= 5 &&
+           !p.shard_kills.empty() && p.shard_kills[0].from <= 12 &&
+           p.shard_kills[0].until > 12;
+  };
+  const FaultPlan minimal = chaos::ShrinkPlan(
+      FaultPlan::Parse("kill:0@40;shardkill:1:5-40;seed:1"), 100, needs);
+  EXPECT_EQ(minimal.ToSpec(), "kill:0@5;shardkill:1:5-13;seed:1");
 }
 
 std::size_t ServeClauseCount(const FaultPlan& plan) {
@@ -116,7 +192,7 @@ TEST(ServeChaos, SmokeSearchFindsNoWrongAnswers) {
   chaos::ServeChaosOptions opts;
   opts.plans = 3;
   opts.seed = 5;
-  opts.shard_counts = {2, 3};
+  opts.sizes = {2, 3};
   opts.rows = 400;
   opts.requests = 80;
   const chaos::ChaosReport report = chaos::RunServeChaosSearch(opts);
@@ -144,7 +220,7 @@ TEST(ServeChaos, UnpinnedScatterIsCaughtAsWrongAnswer) {
   opts.workload.alpha = 0.0;  // uniform: every pooled rollup gets sampled
   opts.plans = 6;
   opts.seed = 3;
-  opts.shard_counts = {4};
+  opts.sizes = {4};
   const chaos::ChaosReport report = chaos::RunServeChaosSearch(opts);
   ASSERT_FALSE(report.ok()) << "unpinned scatter produced no wrong answer";
   EXPECT_NE(report.failures[0].reason.find("WRONG"), std::string::npos);
@@ -188,7 +264,7 @@ TEST(RefreshChaos, SmokeSearchFindsNoBlends) {
   chaos::RefreshChaosOptions opts;
   opts.plans = 8;
   opts.seed = 21;
-  opts.shard_counts = {2, 4};
+  opts.sizes = {2, 4};
   opts.rows = 400;
   opts.requests = 100;
   const chaos::ChaosReport report = chaos::RunRefreshChaosSearch(opts);
@@ -206,7 +282,7 @@ TEST(RefreshChaos, UnpinnedEpochBlendIsCaughtAndShrunk) {
   opts.pin_epoch = false;
   opts.plans = 6;
   opts.seed = 9;
-  opts.shard_counts = {2};
+  opts.sizes = {2};
   opts.rows = 400;
   opts.delta_rows = 200;
   opts.requests = 100;

@@ -16,7 +16,13 @@ Covers what the C++ suites reach only below the CLI:
   * a SUM past INT64_MAX fails the build (at --procs 1 and 2) with the typed
     overflow error instead of storing a wrapped value;
   * a flag the command does not take (a typo, or `query --min`: SUM is the
-    only aggregate) is a usage error (exit 2), not silently ignored.
+    only aggregate) is a usage error (exit 2), not silently ignored;
+  * a CSV whose columns ascend in cardinality keeps its header names on the
+    right columns: every single-dimension query equals a group-by of the
+    CSV, before and after a refresh whose delta lists the columns in
+    another order, and a delta naming other columns is rejected;
+  * `chaos`, `chaos --serve` and `chaos --refresh` at small sizes find no
+    failures (exit 0), and bad sizes or plan counts are usage errors.
 
 Usage:
     cli_persistence_test.py --binary build/tools/sncube
@@ -28,6 +34,7 @@ import argparse
 import filecmp
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -65,6 +72,18 @@ def main(argv):
     def sncube(*cmd):
         return subprocess.run([args.binary, *cmd], capture_output=True,
                               text=True)
+
+    def group_by(rows, column):
+        sums = {}
+        for row in rows:
+            sums[row[column]] = sums.get(row[column], 0) + row[-1]
+        return sums
+
+    def query_sums(cube, name):
+        query = sncube("query", "--cube", cube, "--group-by", name, "--json")
+        if query.returncode != 0:
+            return f"exit {query.returncode}: {query.stderr}"
+        return dict(map(tuple, json.loads(query.stdout)["rows"]))
 
     work = tempfile.mkdtemp(prefix="sncube_cli_persistence_")
     try:
@@ -173,6 +192,73 @@ def main(argv):
                            switch)
             check(query.returncode == 2,
                   f"query {switch} exited {query.returncode}: {query.stdout}")
+
+        # --- header names stay on their columns ---------------------------
+        names = ("small", "mid", "big")
+        rng = random.Random(5)
+        cards_asc = (3, 40, 900)
+        facts = [[i % 3, i % 40, i % 900, rng.randint(-50, 1000)]
+                 for i in range(900)]
+        facts += [[rng.randrange(c) for c in cards_asc] +
+                  [rng.randint(-50, 1000)] for _ in range(19100)]
+
+        def write_csv(file, header, rows):
+            with open(file, "w") as f:
+                f.write(",".join(header) + ",measure\n")
+                f.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+        write_csv(path("ascending.csv"), names, facts)
+        cube = path("ascending_cube")
+        for procs in ("1", "2"):
+            out = cube if procs == "1" else path("ascending_cube_p2")
+            build = sncube("build", "--in", path("ascending.csv"), "--out",
+                           out, "--procs", procs)
+            check(build.returncode == 0,
+                  f"ascending build --procs {procs} failed: {build.stderr}")
+        check(same_tree(cube, path("ascending_cube_p2")),
+              "ascending-cardinality cube differs between --procs 1 and 2")
+        info = sncube("info", "--cube", cube)
+        check("schema: big(900) mid(40) small(3)" in info.stdout,
+              f"info does not name the columns by the header: {info.stdout}")
+        for column, name in enumerate(names):
+            check(query_sums(cube, name) == group_by(facts, column),
+                  f"query --group-by {name} differs from the CSV's group-by")
+
+        # A delta may list the cube's columns in any order.
+        delta = [[rng.randrange(c) for c in cards_asc] +
+                 [rng.randint(-50, 1000)] for _ in range(500)]
+        write_csv(path("permuted_delta.csv"), ("big", "small", "mid"),
+                  [[row[2], row[0], row[1], row[3]] for row in delta])
+        refresh = sncube("refresh", "--cube", cube, "--delta",
+                         path("permuted_delta.csv"))
+        check(refresh.returncode == 0,
+              f"refresh with a permuted delta header failed: {refresh.stderr}")
+        for column, name in enumerate(names):
+            check(query_sums(cube, name) == group_by(facts + delta, column),
+                  f"after refresh, query --group-by {name} differs from the "
+                  "CSV's group-by")
+        write_csv(path("renamed_delta.csv"), ("small", "mid", "huge"), delta)
+        refresh = sncube("refresh", "--cube", cube, "--delta",
+                         path("renamed_delta.csv"))
+        check(refresh.returncode == 1 and "delta header" in refresh.stderr,
+              f"refresh with a mismatched delta header exited "
+              f"{refresh.returncode}: {refresh.stderr}")
+        check(query_sums(cube, "small") == group_by(facts + delta, 0),
+              "a rejected delta changed the cube")
+
+        # --- chaos searches ----------------------------------------------
+        for tier in ((), ("--serve",), ("--refresh",)):
+            sizes = ("--shards", "2") if tier else ("--procs", "2")
+            chaos = sncube("chaos", *tier, "--plans", "2", "--seed", "3",
+                           "--rows", "200", *sizes)
+            check(chaos.returncode == 0 and '"failures":[]' in chaos.stdout,
+                  f"chaos {' '.join(tier)} exited {chaos.returncode}: "
+                  f"{chaos.stdout} {chaos.stderr}")
+        for bad in (("--procs", "1"), ("--serve", "--shards", "1"),
+                    ("--plans", "0")):
+            chaos = sncube("chaos", *bad)
+            check(chaos.returncode == 2,
+                  f"chaos {' '.join(bad)} exited {chaos.returncode}")
 
         # --- read commands need an existing cube -------------------------
         for command in (("info", "--cube", path("typo_dir")),

@@ -12,6 +12,7 @@
 #include "serve/latency_histogram.h"
 #include "serve/query_key.h"
 #include "serve/result_cache.h"
+#include "serve/retry_policy.h"
 #include "serve/server.h"
 #include "serve/workload.h"
 
@@ -234,25 +235,32 @@ TEST_F(ServeFixture, QueueFullRejectsInsteadOfBlocking) {
 TEST_F(ServeFixture, DeadlineExpiredRequestTimesOutWithoutExecuting) {
   // One worker, held on a latch; a request queued behind it waits past the
   // configured deadline and must be dropped at dequeue: callback runs with
-  // kTimedOut and a null answer, no query work is done for it.
+  // kTimedOut and a null answer, no query work is done for it. The deadline
+  // runs on a manual clock, so only the test moves time.
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
+  std::atomic<bool> first_done{false};
 
+  ManualServeClock clock;
   CubeServer server(cube, {.workers = 1,
                            .queue_depth = 8,
-                           .deadline = std::chrono::milliseconds(20)});
+                           .deadline = std::chrono::milliseconds(20),
+                           .clock = &clock});
   Query q;
   q.group_by = ViewId::FromDims({0});
 
   ASSERT_EQ(server.Submit(q,
                           [&](std::shared_ptr<const QueryAnswer>,
                               QueryOutcome) {
+                            first_done.store(true);
                             std::unique_lock<std::mutex> lock(mu);
                             cv.wait(lock, [&] { return release; });
                           }),
             SubmitStatus::kAccepted);
-  while (server.Stats().queue_depth != 0) std::this_thread::yield();
+  // The first request's deadline checks are behind it once its callback
+  // runs, so the clock below cannot time it out.
+  while (!first_done.load()) std::this_thread::yield();
 
   std::shared_ptr<const QueryAnswer> late_answer;
   QueryOutcome late_outcome = QueryOutcome::kOk;
@@ -266,8 +274,8 @@ TEST_F(ServeFixture, DeadlineExpiredRequestTimesOutWithoutExecuting) {
                           }),
             SubmitStatus::kAccepted);
 
-  // Let the queued request age past its deadline, then free the worker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Age the queued request past its deadline, then free the worker.
+  clock.Advance(50000);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
@@ -287,7 +295,8 @@ TEST_F(ServeFixture, DeadlineExpiredRequestTimesOutWithoutExecuting) {
   // A fresh server with the same deadline but an idle worker serves the
   // identical query fine — the deadline only sheds requests that waited.
   CubeServer fresh(cube, {.workers = 1,
-                          .deadline = std::chrono::milliseconds(5000)});
+                          .deadline = std::chrono::milliseconds(20),
+                          .clock = &clock});
   EXPECT_NE(fresh.Execute(q), nullptr);
 }
 
@@ -390,14 +399,14 @@ TEST_F(ServeFixture, InFlightDeadlineCountsSeparatelyFromQueuedExpiry) {
   // both timed_out and deadline_exceeded_in_flight. The freshly computed
   // answer still lands in the cache — the client's retry gets a hit.
   std::atomic<bool> slow_once{true};
+  ManualServeClock clock;
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_depth = 8;
   opts.deadline = std::chrono::milliseconds(10);
+  opts.clock = &clock;
   opts.pre_execute_hook = [&](const Query&) {
-    if (slow_once.exchange(false)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    }
+    if (slow_once.exchange(false)) clock.Advance(40000);
   };
   CubeServer server(cube, opts);
   Query q;
@@ -428,25 +437,29 @@ TEST_F(ServeFixture, QueuedExpiryDoesNotCountAsInFlight) {
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
+  std::atomic<bool> first_done{false};
+  ManualServeClock clock;
   CubeServer server(cube, {.workers = 1,
                            .queue_depth = 8,
-                           .deadline = std::chrono::milliseconds(15)});
+                           .deadline = std::chrono::milliseconds(15),
+                           .clock = &clock});
   Query q;
   q.group_by = ViewId::FromDims({2});
   ASSERT_EQ(server.Submit(q,
                           [&](std::shared_ptr<const QueryAnswer>,
                               QueryOutcome) {
+                            first_done.store(true);
                             std::unique_lock<std::mutex> lock(mu);
                             cv.wait(lock, [&] { return release; });
                           }),
             SubmitStatus::kAccepted);
-  while (server.Stats().queue_depth != 0) std::this_thread::yield();
+  while (!first_done.load()) std::this_thread::yield();
   std::atomic<bool> done{false};
   ASSERT_EQ(server.Submit(q,
                           [&](std::shared_ptr<const QueryAnswer>,
                               QueryOutcome) { done.store(true); }),
             SubmitStatus::kAccepted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  clock.Advance(40000);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;

@@ -52,7 +52,7 @@ CubeResult OneView(ViewResult vr) {
 TEST_F(ViewStoreTest, SaveLoadRoundTrip) {
   ViewStore store(dir_);
   const ViewResult original = MakeView(ViewId::FromDims({0, 2}), {2, 0}, 50);
-  store.SaveCube(OneView(original), Schema({4, 4, 4}));
+  store.SaveCube(OneView(original), Schema({50, 50, 50}));
   ASSERT_EQ(store.List(), std::vector<ViewId>{original.id});
   const ViewResult back = store.Load(original.id);
   EXPECT_EQ(back.id, original.id);
@@ -251,7 +251,7 @@ std::map<std::string, std::string> ReadFiles(const std::filesystem::path& dir) {
 }
 
 TEST_F(ViewStoreTest, ShardedSaveEqualsConcatenatedSave) {
-  const Schema schema({1000, 1000, 8});
+  const Schema schema({1u << 18, 1u << 18, 8});
   const ViewId all = ViewId::Empty();
   const ViewId big = ViewId::FromDims({0, 1});
   const ViewId aux = ViewId::FromDims({2});
@@ -406,7 +406,7 @@ TEST_F(ViewStoreTest, ViewFrameRoundTripsAndChecksItsTag) {
   // and selected byte.
   ViewStore store(dir_);
   vr.selected = true;
-  store.SaveCube(OneView(vr), Schema({4, 4, 4}));
+  store.SaveCube(OneView(vr), Schema({9, 9, 9}));
   std::ifstream in(dir_ / "v00005.sncv", std::ios::binary);
   const std::string file(std::istreambuf_iterator<char>(in), {});
   ASSERT_EQ(frame.size(), 9 + file.size());

@@ -52,6 +52,7 @@
 #include "refresh/refresh.h"
 #include "refresh/snapshot.h"
 #include "relation/csv.h"
+#include "relation/sort.h"
 #include "seqcube/seq_cube.h"
 #include "seqcube/view_store.h"
 #include "serve/metrics_bridge.h"
@@ -92,7 +93,8 @@ constexpr const char* kHelpText =
     "  --out FILE         output CSV path\n"
     "\n"
     "sncube build --in facts.csv --out cubedir\n"
-    "  --in FILE            input fact table (CSV of dimension codes)\n"
+    "  --in FILE            input fact table: CSV of dimension codes whose\n"
+    "                       header names the dimensions, measure last\n"
     "  --out DIR            cube directory to create\n"
     "  --procs P            simulated processors (default 1 = sequential)\n"
     "  --threads-per-rank W intra-rank worker threads per simulated processor\n"
@@ -127,7 +129,8 @@ constexpr const char* kHelpText =
     "  (Section 3 partial schedule), merges it into the stored cube, and\n"
     "  rewrites the cube directory (DESIGN.md §14).\n"
     "  --cube DIR         cube directory to refresh in place\n"
-    "  --delta FILE       delta fact rows (CSV with the cube's columns)\n"
+    "  --delta FILE       delta fact rows: CSV whose header names the cube's\n"
+    "                     dimensions in any order, measure last\n"
     "  --snapshot-dir DIR also commit the refreshed cube into a crash-safe\n"
     "                     snapshot store as the next epoch (sealed manifest;\n"
     "                     a crash leaves the previous epoch committed)\n"
@@ -165,34 +168,35 @@ constexpr const char* kHelpText =
     "  --snapshot-dir DIR refresh snapshot store (default: temp directory)\n"
     "\n"
     "sncube chaos --plans N --seed S\n"
-    "  runs N random fault plans per cluster size; each trial builds a cube\n"
-    "  under the plan (restarting from its checkpoints on abort) and checks\n"
-    "  the result byte-identical to a fault-free build. A failing plan is\n"
-    "  shrunk to a minimal reproducing spec. Exit 0 = all trials upheld the\n"
-    "  invariant; exit 4 = integrity violation found (see the JSON report).\n"
-    "  --plans N          random fault plans per cluster size (default 16)\n"
+    "  runs N random fault plans per size through a deterministic trial and\n"
+    "  shrinks each failing plan to a minimal reproducing spec. By default\n"
+    "  each trial builds a cube under the plan (restarting from its\n"
+    "  checkpoints on abort) and checks it byte-identical to a fault-free\n"
+    "  build. Exit 0 = all trials upheld the invariant; exit 4 = violation\n"
+    "  found (see the JSON report).\n"
+    "  --plans N          random fault plans per size (default 16)\n"
     "  --seed S           master seed for plan generation (default 1)\n"
-    "  --procs P0,P1,...  cluster sizes to exercise (default 2,4)\n"
-    "  --rows R           synthetic fact rows per trial (default 600)\n"
-    "  --fail-out FILE    append each minimal failing plan spec, one per line\n"
+    "  --procs P0,P1,...  build cluster sizes to exercise (default 2,4)\n"
+    "  --rows R           synthetic fact rows per trial (default 600;\n"
+    "                     500 with --refresh)\n"
+    "  --fail-out FILE    append each minimal failing plan as \"<size> <spec>\"\n"
     "  --verbose          per-trial progress on stderr\n"
     "  --serve            search the SERVING tier instead: random shardkill/\n"
-    "                     shardslow plans against a Router over a ShardSet,\n"
-    "                     invariant \"no wrong answers, ever\" (every response\n"
-    "                     is bit-correct, a typed error, or an explicit shed).\n"
-    "                     Deterministic under a manual clock; failing plans\n"
-    "                     are shrunk like build plans. With --serve:\n"
-    "  --shards N0,N1,... shard counts to exercise (default 2,4)\n"
-    "  --requests N       router requests per trial (default 200)\n"
-    "  --refresh          search the ONLINE REFRESH path instead: plans mix\n"
-    "                     coordinator kills at two-phase-swap phases\n"
-    "                     (refreshkill:K), snapshot disk corruption, and\n"
-    "                     shard churn while the query stream interleaves\n"
-    "                     with every swap step. Invariant: old or new, never\n"
-    "                     a blend — every response matches the pre- or\n"
-    "                     post-refresh golden, and crash recovery restores\n"
-    "                     one of the two cubes byte-identically. Takes the\n"
-    "                     same --shards/--requests flags as --serve.\n";
+    "                     shardslow plans against a Router over a ShardSet on\n"
+    "                     a manual clock, invariant \"no wrong answers, ever\"\n"
+    "                     (every response is bit-correct, a typed error, or an\n"
+    "                     explicit shed)\n"
+    "  --refresh          search the ONLINE REFRESH path instead: coordinator\n"
+    "                     kills at two-phase-swap phases (refreshkill:K),\n"
+    "                     snapshot disk corruption and shard churn while the\n"
+    "                     query stream interleaves with every swap step.\n"
+    "                     Invariant: old or new, never a blend — every response\n"
+    "                     matches the pre- or post-refresh golden, and crash\n"
+    "                     recovery restores one of the two cubes\n"
+    "  --shards N0,N1,... with --serve or --refresh: shard counts to exercise\n"
+    "                     (default 2,4)\n"
+    "  --requests N       with --serve or --refresh: router requests per trial\n"
+    "                     (default 200 / 120)\n";
 
 [[noreturn]] void Usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
@@ -293,9 +297,18 @@ int CmdBuild(const Args& args) {
   std::ifstream is(in);
   if (!is.good()) Usage(("cannot read " + in).c_str());
   WallTimer ingest_timer;
-  const Relation raw = ReadCsv(is);
+  std::vector<std::string> names;
+  Relation raw = ReadCsv(is, names);
   const double ingest_s = ingest_timer.Seconds();
   if (raw.empty()) Usage("input has no rows");
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    if (names[c].empty() ||
+        std::find(names.begin(), names.begin() + c, names[c]) !=
+            names.begin() + c) {
+      throw SncubeInputError("CSV header: column " + std::to_string(c + 1) +
+                             " needs a name no other column has");
+    }
+  }
 
   // Infer cardinalities from the data (max code + 1 per column).
   std::vector<std::uint32_t> cards(static_cast<std::size_t>(raw.width()), 1);
@@ -305,7 +318,13 @@ int CmdBuild(const Args& args) {
           std::max(cards[static_cast<std::size_t>(c)], raw.key(r, c) + 1);
     }
   }
-  const Schema schema(cards);
+  // Schema puts the dimensions, named from the header, into the paper's
+  // decreasing-cardinality order; the columns follow it. Generated inputs
+  // are already in that order and skip the copy.
+  const Schema schema(cards, names);
+  if (!std::ranges::is_sorted(schema.permutation())) {
+    raw = PermuteColumns(raw, schema.permutation());
+  }
   const int d = schema.dims();
 
   // View selection.
@@ -471,7 +490,7 @@ int CmdQuery(const Args& args) {
   q.group_by = ViewId::FromDims(dims);
   if (const auto where = args.Get("where")) {
     for (const auto& clause : SplitCommas(*where)) {
-      const auto eq = clause.find('=');
+      const auto eq = clause.rfind('=');  // names may hold '=', codes not
       if (eq == std::string::npos) Usage("--where expects name=value");
       q.filters.push_back(
           {DimIndexByName(schema, clause.substr(0, eq)),
@@ -545,9 +564,36 @@ int CmdRefresh(const Args& args) {
   const std::string delta_path = args.Require("delta");
   std::ifstream is(delta_path);
   if (!is.good()) Usage(("cannot read " + delta_path).c_str());
-  const Relation delta = ReadCsv(is);
-  if (!delta.empty() && delta.width() != schema.dims()) {
-    Usage("delta column count does not match the cube's dimensionality");
+  std::vector<std::string> names;
+  Relation delta = ReadCsv(is, names);
+  // Delta columns map to the cube's dimensions by header name, in any
+  // order; perm[i] is the delta column of dimension i.
+  std::vector<int> perm;
+  std::string expected;
+  for (int i = 0; i < schema.dims(); ++i) {
+    const auto it = std::find(names.begin(), names.end(), schema.name(i));
+    if (it != names.end()) perm.push_back(static_cast<int>(it - names.begin()));
+    expected += (i ? "," : "") + schema.name(i);
+  }
+  if (names.size() != perm.size() ||
+      perm.size() != static_cast<std::size_t>(schema.dims())) {
+    throw SncubeInputError("delta header names its key columns differently "
+                           "from the cube: expected some order of " +
+                           expected);
+  }
+  if (!std::ranges::is_sorted(perm)) delta = PermuteColumns(delta, perm);
+  // A key outside its dimension's cardinality would be stored in views the
+  // manifest says it cannot be in.
+  for (std::size_t r = 0; r < delta.size(); ++r) {
+    for (int i = 0; i < schema.dims(); ++i) {
+      if (delta.key(r, i) >= schema.cardinality(i)) {
+        throw SncubeInputError(
+            "delta row " + std::to_string(r + 1) + ": " + schema.name(i) +
+            " = " + std::to_string(delta.key(r, i)) +
+            " is outside the cube's cardinality " +
+            std::to_string(schema.cardinality(i)));
+      }
+    }
   }
 
   WallTimer timer;
@@ -790,112 +836,59 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-// chaos --serve: the serving-tier search. Shares --plans/--seed/--rows/
-// --fail-out/--verbose with the build search; fail-out lines are
-// "<shards> <spec>" (ChaosFailure::procs carries the shard count), so the
-// nightly corpus handles both tiers uniformly.
-int CmdServeChaos(const Args& args) {
-  chaos::ServeChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("600").c_str()));
-  opts.requests = std::atoi(args.Get("requests").value_or("200").c_str());
-  if (const auto shards = args.Get("shards")) {
-    opts.shard_counts.clear();
-    for (const auto& s : SplitCommas(*shards)) {
-      opts.shard_counts.push_back(std::atoi(s.c_str()));
+// Reads the flags every chaos search shares into `opts`, whose own
+// defaults stand for absent flags; `sizes_flag` names the size list
+// (--procs for build, --shards for the serving tiers).
+template <typename Options>
+Options ChaosOptionsFrom(const Args& args, Options opts,
+                         const std::string& sizes_flag) {
+  const auto number = [&](const char* flag, auto fallback) {
+    const auto v = args.Get(flag);
+    return v ? std::atoll(v->c_str()) : static_cast<long long>(fallback);
+  };
+  const long long plans = number("plans", opts.plans);
+  const long long rows = number("rows", opts.rows);
+  long long requests = 1;
+  if constexpr (requires { opts.requests; }) {
+    requests = number("requests", opts.requests);
+    opts.requests = static_cast<int>(requests);
+  }
+  opts.plans = static_cast<int>(plans);
+  opts.seed = static_cast<std::uint64_t>(number("seed", opts.seed));
+  opts.rows = static_cast<std::uint64_t>(rows);
+  if (const auto sizes = args.Get(sizes_flag)) {
+    opts.sizes.clear();
+    for (const auto& s : SplitCommas(*sizes)) {
+      opts.sizes.push_back(std::atoi(s.c_str()));
     }
   }
-  if (opts.plans < 1 || opts.rows < 1 || opts.requests < 1 ||
-      opts.shard_counts.empty()) {
-    Usage("--plans, --rows and --requests must be >= 1, --shards non-empty");
+  if (plans < 1 || rows < 1 || requests < 1 || opts.sizes.empty()) {
+    Usage(("--plans, --rows and --requests must be >= 1, --" + sizes_flag +
+           " non-empty").c_str());
   }
-  for (const int s : opts.shard_counts) {
-    if (s < 2) Usage("chaos --serve --shards entries must be >= 2");
+  for (const int size : opts.sizes) {
+    if (size < 2) {
+      Usage(("chaos --" + sizes_flag + " entries must be >= 2").c_str());
+    }
   }
   opts.verbose = args.Has("verbose");
-
-  const chaos::ChaosReport report = chaos::RunServeChaosSearch(opts);
-  std::printf("%s\n", report.ToJson().c_str());
-  if (const auto fail_out = args.Get("fail-out")) {
-    if (!report.ok()) {
-      std::ofstream os(*fail_out, std::ios::app);
-      if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
-      for (const auto& f : report.failures) {
-        os << f.procs << ' ' << f.plan.ToSpec() << '\n';
-      }
-      std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
-    }
-  }
-  return report.ok() ? 0 : 4;
+  return opts;
 }
 
-// chaos --refresh: the online-refresh search (old-or-new, never a blend).
-// Same flag surface as --serve; fail-out lines are "<shards> <spec>".
-int CmdRefreshChaos(const Args& args) {
-  chaos::RefreshChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("500").c_str()));
-  opts.requests = std::atoi(args.Get("requests").value_or("120").c_str());
-  if (const auto shards = args.Get("shards")) {
-    opts.shard_counts.clear();
-    for (const auto& s : SplitCommas(*shards)) {
-      opts.shard_counts.push_back(std::atoi(s.c_str()));
-    }
-  }
-  if (opts.plans < 1 || opts.rows < 1 || opts.requests < 1 ||
-      opts.shard_counts.empty()) {
-    Usage("--plans, --rows and --requests must be >= 1, --shards non-empty");
-  }
-  for (const int s : opts.shard_counts) {
-    if (s < 2) Usage("chaos --refresh --shards entries must be >= 2");
-  }
-  opts.verbose = args.Has("verbose");
-
-  const chaos::ChaosReport report = chaos::RunRefreshChaosSearch(opts);
-  std::printf("%s\n", report.ToJson().c_str());
-  if (const auto fail_out = args.Get("fail-out")) {
-    if (!report.ok()) {
-      std::ofstream os(*fail_out, std::ios::app);
-      if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
-      for (const auto& f : report.failures) {
-        os << f.procs << ' ' << f.plan.ToSpec() << '\n';
-      }
-      std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
-    }
-  }
-  return report.ok() ? 0 : 4;
-}
-
+// chaos: the build search, or with --serve / --refresh the serving-tier and
+// online-refresh searches. --fail-out lines are "<size> <spec>", where the
+// size is the cluster size or the shard count, so the nightly corpus
+// handles every tier uniformly.
 int CmdChaos(const Args& args) {
-  if (args.Has("refresh")) return CmdRefreshChaos(args);
-  if (args.Has("serve")) return CmdServeChaos(args);
-  chaos::ChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("600").c_str()));
-  if (const auto procs = args.Get("procs")) {
-    opts.procs.clear();
-    for (const auto& p : SplitCommas(*procs)) {
-      opts.procs.push_back(std::atoi(p.c_str()));
-    }
-  }
-  if (opts.plans < 1 || opts.rows < 1 || opts.procs.empty()) {
-    Usage("--plans and --rows must be >= 1 and --procs non-empty");
-  }
-  for (const int p : opts.procs) {
-    if (p < 2) Usage("chaos --procs entries must be >= 2");
-  }
-  opts.verbose = args.Has("verbose");
-
-  const chaos::ChaosReport report = chaos::RunChaosSearch(opts);
+  const chaos::ChaosReport report =
+      args.Has("refresh")
+          ? chaos::RunRefreshChaosSearch(ChaosOptionsFrom(
+                args, chaos::RefreshChaosOptions{}, "shards"))
+      : args.Has("serve")
+          ? chaos::RunServeChaosSearch(
+                ChaosOptionsFrom(args, chaos::ServeChaosOptions{}, "shards"))
+          : chaos::RunChaosSearch(
+                ChaosOptionsFrom(args, chaos::ChaosOptions{}, "procs"));
   std::printf("%s\n", report.ToJson().c_str());
   if (const auto fail_out = args.Get("fail-out")) {
     if (!report.ok()) {
