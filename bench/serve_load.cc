@@ -136,8 +136,8 @@ int main() {
               " hit rate %.3f, p50 %.0f us, p95 %.0f us, p99 %.0f us,"
               " rejected %llu\n",
               static_cast<long long>(queries), wall_s, qps, speedup,
-              stats.hit_rate(), stats.latency.p50_us, stats.latency.p95_us,
-              stats.latency.p99_us,
+              stats.hit_rate(), stats.latency.p50, stats.latency.p95,
+              stats.latency.p99,
               static_cast<unsigned long long>(stats.rejected));
 
   std::ofstream os("BENCH_serve.json");
@@ -229,7 +229,7 @@ int main() {
               static_cast<unsigned long long>(rstats.hedges),
               static_cast<unsigned long long>(rstats.shed),
               static_cast<unsigned long long>(wrong.load()),
-              rstats.ok_latency.p99_us);
+              rstats.ok_latency.p99);
 
   std::ofstream shard_os("BENCH_serve_shard.json");
   std::snprintf(buf, sizeof buf,
@@ -348,7 +348,7 @@ int main() {
               static_cast<unsigned long long>(refresh_rstats.requests),
               static_cast<unsigned long long>(epochs_installed),
               static_cast<unsigned long long>(wrong_refresh.load()),
-              refresh_rstats.ok_latency.p99_us);
+              refresh_rstats.ok_latency.p99);
 
   std::ofstream refresh_os("BENCH_refresh.json");
   std::snprintf(buf, sizeof buf,

@@ -22,7 +22,7 @@
 // serve tier chains its four lock layers through the anchor mutexes in
 // serve/lock_order.h. Those declarations are enforced twice: by clang's
 // -Wthread-safety-beta in the CI lint build, and by the whole-program
-// lock-order rule of tools/lint/sncheck_ast.py on every platform.
+// lock-order rule of tools/lint/sncheck.py on every platform.
 //
 // Condition waits use CondVar::Wait(mu), annotated SNCUBE_REQUIRES(mu):
 // the wait atomically releases and reacquires the mutex internally, which

@@ -19,7 +19,7 @@
 //   SNCUBE_ACQUIRED_AFTER / SNCUBE_ACQUIRED_BEFORE
 //                           declared lock-ordering hierarchy (see
 //                           serve/lock_order.h): clang checks it under
-//                           -Wthread-safety-beta, and sncheck_ast.py reads
+//                           -Wthread-safety-beta, and sncheck.py reads
 //                           the same declarations textually to cross-check
 //                           the observed acquired-while-held graph on every
 //                           platform
@@ -71,7 +71,7 @@
 // already held — holding it and then taking `a` inverts the hierarchy.
 // ACQUIRED_BEFORE is the mirror image. Two independent checkers consume
 // these: clang's -Wthread-safety-beta (the CI lint build) and the
-// tools/lint/sncheck_ast.py lock-order rule, which parses the declarations
+// tools/lint/sncheck.py lock-order rule, which parses the declarations
 // textually and fails on any observed acquired-while-held edge that
 // contradicts them — so the hierarchy is enforced even on gcc-only hosts.
 #define SNCUBE_ACQUIRED_AFTER(...) \

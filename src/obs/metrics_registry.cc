@@ -8,8 +8,7 @@
 namespace sncube::obs {
 namespace {
 
-// Bucket i covers [2^(i-1), 2^i); bucket 0 is exactly 0 — the same scheme
-// as serve/latency_histogram.cc so absorbed buckets line up one-to-one.
+// Bucket i covers [2^(i-1), 2^i); bucket 0 is exactly 0.
 double BucketLower(int i) { return i == 0 ? 0.0 : std::ldexp(1.0, i - 1); }
 double BucketUpper(int i) { return i == 0 ? 1.0 : std::ldexp(1.0, i); }
 
@@ -20,17 +19,20 @@ void Histogram::Record(std::uint64_t value) {
   buckets_[static_cast<std::size_t>(bucket < kBuckets ? bucket : kBuckets - 1)]
       .fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  MergeMax(value);
+  RaiseMax(value);
 }
 
-void Histogram::AddBucketCount(int bucket, std::uint64_t n) {
-  if (bucket < 0) bucket = 0;
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  buckets_[static_cast<std::size_t>(bucket)].fetch_add(
-      n, std::memory_order_relaxed);
+void Histogram::Merge(const Histogram& other) {
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
+    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+  RaiseMax(other.max_.load(std::memory_order_relaxed));
 }
 
-void Histogram::MergeMax(std::uint64_t m) {
+void Histogram::RaiseMax(std::uint64_t m) {
   std::uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < m &&
          !max_.compare_exchange_weak(prev, m, std::memory_order_relaxed)) {

@@ -1,8 +1,8 @@
 // Unified metrics: one typed counter/gauge/histogram sink for every layer.
 //
 // Before PR 4 each layer kept its own incompatible counters — net/metrics.h
-// per-phase structs, DiskModel block counts, serve's LatencyHistogram and
-// StatsSnapshot, ad-hoc timers inside bench binaries. MetricsRegistry is the
+// per-phase structs, DiskModel block counts, serve's StatsSnapshot, ad-hoc
+// timers inside bench binaries. MetricsRegistry is the
 // single sink they all report into (directly, or via the absorb adapters in
 // obs/export.h), under one naming scheme (DESIGN.md §10):
 //
@@ -70,26 +70,43 @@ struct HistogramSnapshot {
   }
 };
 
-// Lock-free power-of-two-bucket histogram: the same scheme (and the same
-// all-relaxed memory-order rationale) as serve/latency_histogram.h — bucket
-// i holds [2^(i-1), 2^i), bucket 0 holds {0}, quantiles interpolate inside
-// the winning bucket with ≤2× worst-case error. Unit is whatever the metric
-// name says (µs for latencies, bytes for sizes).
+// Lock-free power-of-two-bucket histogram: bucket i holds [2^(i-1), 2^i),
+// bucket 0 holds {0}; Read() interpolates p50/p95/p99 inside the winning
+// bucket, with ≤2× worst-case error — the right trade for an overload
+// signal. Record() takes no lock and allocates nothing, so it is safe from
+// any number of threads on the serving hot path (CubeServer and Router
+// record their latencies here). Unit is whatever the metric name says (µs
+// for latencies, bytes for sizes).
+//
+// Every operation is deliberately std::memory_order_relaxed:
+//
+//   * No Record() publishes data that a Read() dereferences — the counters
+//     ARE the data, so there is no acquire/release pairing to make.
+//   * Each counter is individually monotone, so a relaxed Read() is some
+//     valid histogram. Cross-counter skew (a value counted in sum_ whose
+//     bucket increment is not yet visible) can transiently shift mean vs.
+//     quantiles by one sample — irrelevant to an overload signal.
+//   * max_ uses a relaxed compare-exchange loop: a lost race re-reads the
+//     new maximum, so correctness comes from CAS atomicity, not ordering.
+//
+// If a reader ever needs "snapshot at least as new as X", add an explicit
+// fence then — do not upgrade these orders speculatively.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
 
   void Record(std::uint64_t value);
 
-  // Bulk-merge entry points for absorbing an existing histogram's state
-  // (serve's LatencyHistogram exports its buckets through these).
-  void AddBucketCount(int bucket, std::uint64_t n);
-  void AddSum(std::uint64_t s) { sum_.fetch_add(s, std::memory_order_relaxed); }
-  void MergeMax(std::uint64_t m);
+  // Adds `other`'s bucket counts and sum and raises the max to its max, so
+  // quantiles survive the transfer (e.g. absorbing a server's latencies
+  // into a registry, serve/metrics_bridge.h).
+  void Merge(const Histogram& other);
 
   HistogramSnapshot Read() const;
 
  private:
+  void RaiseMax(std::uint64_t m);
+
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};

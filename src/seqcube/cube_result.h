@@ -33,7 +33,7 @@ struct CubeResult {
   // Ordered map on purpose: every `for (auto& [id, vr] : views)` walk —
   // checkpointing, merge planning, serialization — visits views in
   // ascending mask order on every rank and every run, so iteration order
-  // can never leak into cube bytes or simulated costs (the sncheck_ast
+  // can never leak into cube bytes or simulated costs (the sncheck
   // `unordered-iter` rule holds this line). View counts are ≤ 2^d, d ≤ 16;
   // per-view (not per-row) lookups make the O(log n) irrelevant.
   std::map<ViewId, ViewResult> views;

@@ -20,7 +20,7 @@
 //   * clang -Wthread-safety-beta (CI lint build, and the
 //     tests/negative_compile lock_order fixtures) rejects an inverted
 //     acquisition at compile time;
-//   * tools/lint/sncheck_ast.py parses these declarations textually and
+//   * tools/lint/sncheck.py parses these declarations textually and
 //     fails its lock-order rule on any observed acquired-while-held edge
 //     that contradicts the declared chain — including on gcc-only hosts
 //     where the clang attributes expand to nothing.

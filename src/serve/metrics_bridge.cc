@@ -22,36 +22,8 @@ void AbsorbServerStats(obs::MetricsRegistry& registry,
       .Set(static_cast<double>(s.cache.entries));
   registry.GetGauge("serve.cache.hit_rate").Set(s.hit_rate());
   registry.GetGauge("serve.queue_depth").Set(static_cast<double>(s.queue_depth));
-
-  // Bucket-for-bucket transfer: LatencyHistogram and obs::Histogram share
-  // the power-of-two bucket scheme, so quantiles survive the copy.
-  obs::Histogram& h = registry.GetHistogram("serve.latency_us");
-  const auto counts = server.latency_histogram().BucketCounts();
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (counts[static_cast<std::size_t>(i)] != 0) {
-      h.AddBucketCount(i, counts[static_cast<std::size_t>(i)]);
-    }
-  }
-  h.AddSum(s.latency.sum_us);
-  h.MergeMax(s.latency.max_us);
+  registry.GetHistogram("serve.latency_us").Merge(server.latency_histogram());
 }
-
-namespace {
-
-void AbsorbLatency(obs::MetricsRegistry& registry, const char* name,
-                   const LatencyHistogram& hist, const LatencySnapshot& snap) {
-  obs::Histogram& h = registry.GetHistogram(name);
-  const auto counts = hist.BucketCounts();
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (counts[static_cast<std::size_t>(i)] != 0) {
-      h.AddBucketCount(i, counts[static_cast<std::size_t>(i)]);
-    }
-  }
-  h.AddSum(snap.sum_us);
-  h.MergeMax(snap.max_us);
-}
-
-}  // namespace
 
 void AbsorbRouterStats(obs::MetricsRegistry& registry, const Router& router) {
   const RouterStatsSnapshot s = router.Stats();
@@ -80,10 +52,10 @@ void AbsorbRouterStats(obs::MetricsRegistry& registry, const Router& router) {
   registry.GetCounter("serve.router.breaker.closed").Add(closed);
   registry.GetGauge("serve.router.breaker.open_shards")
       .Set(static_cast<double>(open_now));
-  AbsorbLatency(registry, "serve.router.ok_latency_us",
-                router.ok_latency_histogram(), s.ok_latency);
-  AbsorbLatency(registry, "serve.router.error_latency_us",
-                router.error_latency_histogram(), s.error_latency);
+  registry.GetHistogram("serve.router.ok_latency_us")
+      .Merge(router.ok_latency_histogram());
+  registry.GetHistogram("serve.router.error_latency_us")
+      .Merge(router.error_latency_histogram());
 }
 
 }  // namespace sncube

@@ -1,7 +1,7 @@
 // Bridges the serving layer's counters into the unified MetricsRegistry.
 //
 // CubeServer keeps its hot-path metrics in purpose-built lock-free
-// structures (atomic counters, LatencyHistogram); this adapter copies one
+// structures (atomic counters, an obs::Histogram); this adapter copies one
 // point-in-time snapshot of them into a registry under the DESIGN.md §10
 // names (serve.accepted, serve.cache.hits, serve.latency_us, ...), so a
 // serve run reports through the same sink as a build run. Counters in the

@@ -26,11 +26,11 @@ RouterOutcome MapOutcome(TryOutcome o) {
 }
 
 void AppendLatency(std::ostringstream& os, const char* name,
-                   const LatencySnapshot& l) {
+                   const obs::HistogramSnapshot& l) {
   os << "\"" << name << "\":{\"count\":" << l.count
-     << ",\"mean\":" << l.mean_us() << ",\"p50\":" << l.p50_us
-     << ",\"p95\":" << l.p95_us << ",\"p99\":" << l.p99_us
-     << ",\"max\":" << l.max_us << "}";
+     << ",\"mean\":" << l.mean() << ",\"p50\":" << l.p50
+     << ",\"p95\":" << l.p95 << ",\"p99\":" << l.p99
+     << ",\"max\":" << l.max << "}";
 }
 
 }  // namespace
@@ -372,8 +372,8 @@ RouterStatsSnapshot Router::Stats() const {
   s.probes = probes_.load(std::memory_order_relaxed);
   s.shard_health.reserve(health_.size());
   for (const auto& h : health_) s.shard_health.push_back(h->Snap());
-  s.ok_latency = ok_latency_.Snapshot();
-  s.error_latency = error_latency_.Snapshot();
+  s.ok_latency = ok_latency_.Read();
+  s.error_latency = error_latency_.Read();
   return s;
 }
 

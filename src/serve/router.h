@@ -35,8 +35,8 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
 #include "serve/health.h"
-#include "serve/latency_histogram.h"
 #include "serve/retry_policy.h"
 #include "serve/shard_set.h"
 
@@ -110,8 +110,9 @@ struct RouterStatsSnapshot {
   std::uint64_t budget_exhausted = 0;  // retries denied by the budget
   std::uint64_t probes = 0;
   std::vector<ShardHealth::Snapshot> shard_health;  // index = shard
-  LatencySnapshot ok_latency;     // end-to-end, successful requests
-  LatencySnapshot error_latency;  // end-to-end, failed/timed-out/unavailable
+  // µs, end-to-end: successful requests; failed/timed-out/unavailable ones.
+  obs::HistogramSnapshot ok_latency;
+  obs::HistogramSnapshot error_latency;
 
   std::string ToJson() const;
 };
@@ -138,9 +139,9 @@ class Router {
     return health_[static_cast<std::size_t>(shard)]->Snap().state;
   }
 
-  // Raw histograms for bucket-for-bucket metric export (metrics_bridge.cc).
-  const LatencyHistogram& ok_latency_histogram() const { return ok_latency_; }
-  const LatencyHistogram& error_latency_histogram() const {
+  // Raw histograms for metric export (metrics_bridge.cc).
+  const obs::Histogram& ok_latency_histogram() const { return ok_latency_; }
+  const obs::Histogram& error_latency_histogram() const {
     return error_latency_;
   }
 
@@ -177,8 +178,8 @@ class Router {
   std::atomic<std::uint64_t> hedge_wins_{0};
   std::atomic<std::uint64_t> budget_exhausted_{0};
   std::atomic<std::uint64_t> probes_{0};
-  LatencyHistogram ok_latency_;
-  LatencyHistogram error_latency_;
+  obs::Histogram ok_latency_;
+  obs::Histogram error_latency_;
 };
 
 }  // namespace sncube

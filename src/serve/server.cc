@@ -23,9 +23,9 @@ std::string StatsSnapshot::ToJson() const {
      << ",\"bytes\":" << cache.bytes
      << ",\"entries\":" << cache.entries << ",\"hit_rate\":" << hit_rate()
      << "},\"latency_us\":{\"count\":" << latency.count
-     << ",\"mean\":" << latency.mean_us() << ",\"p50\":" << latency.p50_us
-     << ",\"p95\":" << latency.p95_us << ",\"p99\":" << latency.p99_us
-     << ",\"max\":" << latency.max_us << "}}";
+     << ",\"mean\":" << latency.mean() << ",\"p50\":" << latency.p50
+     << ",\"p95\":" << latency.p95 << ",\"p99\":" << latency.p99
+     << ",\"max\":" << latency.max << "}}";
   return os.str();
 }
 
@@ -219,7 +219,7 @@ StatsSnapshot CubeServer::Stats() const {
   }
   s.queue_depth_max = options_.queue_depth;
   s.cache = cache_.Stats();
-  s.latency = latency_.Snapshot();
+  s.latency = latency_.Read();
   return s;
 }
 

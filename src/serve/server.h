@@ -37,9 +37,9 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "query/engine.h"
-#include "serve/latency_histogram.h"
 #include "serve/lock_order.h"
 #include "serve/result_cache.h"
 #include "serve/retry_policy.h"
@@ -113,7 +113,7 @@ struct StatsSnapshot {
   std::uint64_t queue_depth = 0;   // current
   std::uint64_t queue_depth_max = 0;  // configured bound
   CacheStats cache;
-  LatencySnapshot latency;         // end-to-end: Submit → callback done
+  obs::HistogramSnapshot latency;  // µs, end-to-end: Submit → callback done
 
   double hit_rate() const {
     const std::uint64_t lookups = cache.hits + cache.misses;
@@ -164,7 +164,7 @@ class CubeServer {
 
   // The raw latency histogram, for export into a MetricsRegistry
   // (serve/metrics_bridge.h). Safe to read concurrently with serving.
-  const LatencyHistogram& latency_histogram() const { return latency_; }
+  const obs::Histogram& latency_histogram() const { return latency_; }
 
  private:
   struct Request {
@@ -184,7 +184,7 @@ class CubeServer {
   const ServerOptions options_;
   CubeQueryEngine engine_;
   ResultCache cache_;
-  LatencyHistogram latency_;
+  obs::Histogram latency_;
   // Shared trace epoch for all workers (immutable after construction; only
   // read when options_.trace is set).
   WallClockSource trace_clock_;

@@ -17,6 +17,10 @@ Covers what the C++ suites reach only below the CLI:
     overflow error instead of storing a wrapped value;
   * a flag the command does not take (a typo, or `query --min`: SUM is the
     only aggregate) is a usage error (exit 2), not silently ignored;
+  * a numeric flag value that is not one whole number in the flag's range
+    (trailing junk, a sign on an unsigned value, a code past 32 bits, a
+    word, an empty list entry) is a usage error, as is a chaos flag the
+    chosen tier does not read;
   * a CSV whose columns ascend in cardinality keeps its header names on the
     right columns: every single-dimension query equals a group-by of the
     CSV, before and after a refresh whose delta lists the columns in
@@ -193,6 +197,33 @@ def main(argv):
             check(query.returncode == 2,
                   f"query {switch} exited {query.returncode}: {query.stdout}")
 
+        # --- numeric flags are whole, in-range numbers ------------------
+        # Each command ends in its bad flag and value.
+        numeric = path("numeric_out")
+        query = ("query", "--cube", path("ref"), "--group-by", "D1")
+        generate = ("generate", "--out", numeric)
+        build = ("build", "--in", path("facts.csv"), "--out", numeric)
+        for bad in ((*query, "--where", "D1=4294967297"),
+                    (*query, "--top", "abc"),
+                    (*query, "--top", "-2"),
+                    (*generate, "--rows", "10", "--cards", "8,-1"),
+                    (*generate, "--rows", "10", "--cards", "8,abc"),
+                    (*generate, "--rows", "10", "--cards", "8,"),
+                    (*generate, "--cards", "8", "--rows", "20x"),
+                    (*build, "--procs", "2x"),
+                    (*build, "--views", "3x"),
+                    (*build, "--gamma", "abc"),
+                    ("serve", "--cube", path("ref"), "--bench", "--workers",
+                     "1", "--clients", "1", "--queries", "10x")):
+            run = sncube(*bad)
+            what = " ".join((bad[0], *bad[-2:]))
+            check(run.returncode == 2 and bad[-2] in run.stderr,
+                  f"{what} exited {run.returncode}: {run.stderr[:200]}")
+            check(not os.path.exists(numeric), f"{what} wrote output")
+            shutil.rmtree(numeric, ignore_errors=True)
+            if os.path.isfile(numeric):
+                os.remove(numeric)
+
         # --- header names stay on their columns ---------------------------
         names = ("small", "mid", "big")
         rng = random.Random(5)
@@ -254,8 +285,14 @@ def main(argv):
             check(chaos.returncode == 0 and '"failures":[]' in chaos.stdout,
                   f"chaos {' '.join(tier)} exited {chaos.returncode}: "
                   f"{chaos.stdout} {chaos.stderr}")
+        small = ("--plans", "1", "--rows", "100")
         for bad in (("--procs", "1"), ("--serve", "--shards", "1"),
-                    ("--plans", "0")):
+                    ("--plans", "0"),
+                    # a flag of another tier
+                    (*small, "--requests", "0", "--shards", "1"),
+                    ("--serve", *small, "--requests", "5", "--procs", "1"),
+                    ("--refresh", *small, "--procs", "2"),
+                    ("--serve", "--refresh", *small)):
             chaos = sncube("chaos", *bad)
             check(chaos.returncode == 2,
                   f"chaos {' '.join(bad)} exited {chaos.returncode}")

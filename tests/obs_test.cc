@@ -178,6 +178,28 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
   EXPECT_GT(snap.p99, snap.p50);
 }
 
+TEST(MetricsRegistry, HistogramMergeCarriesCountsSumAndMax) {
+  obs::Histogram a;
+  obs::Histogram b;
+  obs::Histogram both;
+  for (std::uint64_t v : {0u, 3u, 70u, 900u}) {
+    a.Record(v);
+    both.Record(v);
+  }
+  for (std::uint64_t v : {5u, 5000u}) {
+    b.Record(v);
+    both.Record(v);
+  }
+  a.Merge(b);
+  const obs::HistogramSnapshot merged = a.Read();
+  const obs::HistogramSnapshot direct = both.Read();
+  EXPECT_EQ(merged.count, direct.count);
+  EXPECT_EQ(merged.sum, direct.sum);
+  EXPECT_EQ(merged.max, 5000u);
+  EXPECT_DOUBLE_EQ(merged.p50, direct.p50);
+  EXPECT_DOUBLE_EQ(merged.p99, direct.p99);
+}
+
 TEST(MetricsRegistry, ToJsonIsSortedAndDeterministic) {
   obs::MetricsRegistry reg;
   reg.GetCounter("zzz").Add(1);

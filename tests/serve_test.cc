@@ -7,9 +7,9 @@
 
 #include "data/generator.h"
 #include "lattice/lattice.h"
+#include "obs/metrics_registry.h"
 #include "query/engine.h"
 #include "seqcube/seq_cube.h"
-#include "serve/latency_histogram.h"
 #include "serve/query_key.h"
 #include "serve/result_cache.h"
 #include "serve/retry_policy.h"
@@ -108,22 +108,22 @@ TEST(ResultCache, HitKeepsAnswerAliveAcrossEviction) {
 }
 
 TEST(LatencyHistogramTest, QuantilesOrderedAndBounded) {
-  LatencyHistogram h;
+  obs::Histogram h;
   for (std::uint64_t us = 1; us <= 1000; ++us) h.Record(us);
-  const LatencySnapshot s = h.Snapshot();
+  const obs::HistogramSnapshot s = h.Read();
   EXPECT_EQ(s.count, 1000u);
-  EXPECT_EQ(s.max_us, 1000u);
-  EXPECT_LE(s.p50_us, s.p95_us);
-  EXPECT_LE(s.p95_us, s.p99_us);
+  EXPECT_EQ(s.max, 1000u);
+  EXPECT_LE(s.p50, s.p95);
+  EXPECT_LE(s.p95, s.p99);
   // Power-of-two buckets: each quantile within 2x of the true value.
-  EXPECT_GE(s.p50_us, 250.0);
-  EXPECT_LE(s.p50_us, 1024.0);
-  EXPECT_GE(s.p99_us, 512.0);
-  EXPECT_LE(s.p99_us, 2048.0);
+  EXPECT_GE(s.p50, 250.0);
+  EXPECT_LE(s.p50, 1024.0);
+  EXPECT_GE(s.p99, 512.0);
+  EXPECT_LE(s.p99, 2048.0);
 }
 
 TEST(LatencyHistogramTest, ConcurrentRecordsAllCounted) {
-  LatencyHistogram h;
+  obs::Histogram h;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> ts;
@@ -135,7 +135,7 @@ TEST(LatencyHistogramTest, ConcurrentRecordsAllCounted) {
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(h.Snapshot().count,
+  EXPECT_EQ(h.Read().count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 

@@ -2,11 +2,11 @@
 """Umbrella lint runner: one command that runs every project linter the
 environment can support and fails if any of them fails.
 
-  sncheck        — textual project-invariant rules (always runs)
-  sncheck_ast    — whole-program AST rules (auto frontend: cindex when
-                   libclang + compile_commands.json exist, internal parser
-                   otherwise; a 77 skip from a forced cindex run counts as
-                   skipped, not failed)
+  sncheck        — project-invariant rules, per-line and whole-program
+                   (auto frontend: cindex when libclang +
+                   compile_commands.json exist, internal parser otherwise;
+                   a 77 skip from a forced cindex run counts as skipped,
+                   not failed)
   check_cli_docs — README flag coverage (only when --binary points at a
                    built sncube binary)
 
@@ -43,23 +43,20 @@ def main(argv):
                    help="built sncube binary for check_cli_docs "
                         "(omitted: that check is skipped)")
     p.add_argument("--compile-commands", default=None,
-                   help="compile database handed to sncheck_ast")
+                   help="compile database handed to sncheck")
     p.add_argument("--frontend", default="auto",
                    choices=("auto", "cindex", "internal"),
-                   help="sncheck_ast frontend (default auto)")
+                   help="sncheck frontend (default auto)")
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
     py = sys.executable
 
     results = {}
-    results["sncheck"] = run_step(
-        "sncheck", [py, os.path.join(HERE, "sncheck.py"), "--root", root])
-
-    ast_cmd = [py, os.path.join(HERE, "sncheck_ast.py"), "--root", root,
-               "--frontend", args.frontend]
+    cmd = [py, os.path.join(HERE, "sncheck.py"), "--root", root,
+           "--frontend", args.frontend]
     if args.compile_commands:
-        ast_cmd += ["--compile-commands", args.compile_commands]
-    results["sncheck_ast"] = run_step("sncheck_ast", ast_cmd)
+        cmd += ["--compile-commands", args.compile_commands]
+    results["sncheck"] = run_step("sncheck", cmd)
 
     if args.binary and os.path.isfile(args.binary):
         results["check_cli_docs"] = run_step(

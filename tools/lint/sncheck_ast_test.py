@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Self-test for sncheck_ast: the ast_pass_tree must be clean (including a
-working suppression), and every EXPECT marker in ast_fail_tree must produce
-exactly one finding of the marked rule on that line — the set covers all
-four rule families, the cross-TU three-lock cycle, the declared-hierarchy
-contradictions, and the interprocedural clock/blocking arms.
+"""Self-test for sncheck's whole-program rules: the ast_pass_tree must be
+clean (including a working suppression), and every EXPECT marker in
+ast_fail_tree must produce exactly one finding of the marked rule on that
+line — the set covers all four whole-program rule families, the cross-TU
+three-lock cycle, the declared-hierarchy contradictions, and the
+interprocedural clock/blocking arms.
 
 The internal frontend is pinned exactly. When clang.cindex and libclang are
 importable (the CI lint job), the cindex frontend is additionally exercised
@@ -14,54 +15,11 @@ are pinned instead. Run via ctest (`sncheck_ast_selftest`) or directly."""
 
 import json
 import os
-import re
 import shutil
-import subprocess
-import sys
 import tempfile
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SNCHECK_AST = os.path.join(HERE, "sncheck_ast.py")
-FINDING_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+): \[(?P<rule>[\w-]+)\]")
-EXPECT_RE = re.compile(r"EXPECT\s+([\w-]+)")
-
-failures = []
-
-
-def check(condition, message):
-    if not condition:
-        failures.append(message)
-
-
-def run_ast(tree, *extra):
-    proc = subprocess.run(
-        [sys.executable, SNCHECK_AST,
-         "--root", os.path.join(HERE, "testdata", tree), *extra],
-        capture_output=True, text=True)
-    findings = set()
-    for line in proc.stdout.splitlines():
-        m = FINDING_RE.match(line)
-        if m:
-            findings.add((m.group("file"), int(m.group("line")),
-                          m.group("rule")))
-        elif line.strip():
-            failures.append(
-                f"{tree}: unparseable sncheck_ast output line: {line!r}")
-    return proc, findings
-
-
-def expected_findings(tree):
-    expected = set()
-    root = os.path.join(HERE, "testdata", tree)
-    for dirpath, _dirs, names in os.walk(root):
-        for name in names:
-            full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
-            with open(full, encoding="utf-8") as f:
-                for line_no, line in enumerate(f, start=1):
-                    for rule in EXPECT_RE.findall(line):
-                        expected.add((rel, line_no, rule))
-    return expected
+from sncheck_test import (HERE, check, check_exact, expected_findings,
+                          finish, json_report, run_lint)
 
 
 def cindex_available():
@@ -96,57 +54,34 @@ def write_compile_db(tree, out_dir):
 
 
 # --- internal frontend: pass tree clean, fail tree exact ---------------------
-proc, findings = run_ast("ast_pass_tree", "--frontend", "internal")
+proc, findings, report = json_report("ast_pass_tree", "--frontend", "internal")
 check(proc.returncode == 0,
       f"ast_pass_tree: expected exit 0, got {proc.returncode}")
 check(not findings, f"ast_pass_tree: unexpected findings: {sorted(findings)}")
+# The suppressed finding must still appear in the JSON report — suppression
+# hides it from the console/exit code, not from the record.
+suppressed = [r for r in report["findings"] if r["suppressed"]]
+check(len(suppressed) == 1 and suppressed[0]["rule"] == "unordered-iter",
+      f"ast_pass_tree: expected exactly 1 suppressed unordered-iter "
+      f"finding in the JSON report, got {report['findings']}")
 
 expected = expected_findings("ast_fail_tree")
 check(expected, "ast_fail_tree has no EXPECT markers — fixture tree missing?")
-with tempfile.TemporaryDirectory() as tmp:
-    report_path = os.path.join(tmp, "report.json")
-    proc, findings = run_ast("ast_fail_tree", "--frontend", "internal",
-                             "--json-out", report_path)
-    check(proc.returncode == 1,
-          f"ast_fail_tree: expected exit 1, got {proc.returncode}")
-    check(findings == expected,
-          "ast_fail_tree mismatch:\n  missing: %s\n  extra:   %s" % (
-              sorted(expected - findings), sorted(findings - expected)))
-    with open(report_path, encoding="utf-8") as f:
-        report = json.load(f)
-    check(report["frontend"] == "internal",
-          f"json report frontend: {report['frontend']!r}")
-    check(report["unsuppressed"] == len(expected),
-          f"json report unsuppressed {report['unsuppressed']} != "
-          f"{len(expected)}")
-
-# The pass tree's suppressed finding must still appear in the JSON report —
-# suppression hides it from the console/exit code, not from the record.
-with tempfile.TemporaryDirectory() as tmp:
-    report_path = os.path.join(tmp, "report.json")
-    proc, _ = run_ast("ast_pass_tree", "--frontend", "internal",
-                      "--json-out", report_path)
-    with open(report_path, encoding="utf-8") as f:
-        report = json.load(f)
-    suppressed = [r for r in report["findings"] if r["suppressed"]]
-    check(len(suppressed) == 1 and suppressed[0]["rule"] == "unordered-iter",
-          f"ast_pass_tree: expected exactly 1 suppressed unordered-iter "
-          f"finding in the JSON report, got {report['findings']}")
-
-# --- rule listing ------------------------------------------------------------
-proc = subprocess.run([sys.executable, SNCHECK_AST, "--list-rules"],
-                      capture_output=True, text=True)
-check(proc.returncode == 0, "--list-rules: expected exit 0")
-for rule in ("lock-order", "unordered-iter", "clock-domain",
-             "blocking-under-lock"):
-    check(rule in proc.stdout, f"--list-rules missing {rule}")
+proc, findings, report = json_report("ast_fail_tree", "--frontend", "internal")
+check(proc.returncode == 1,
+      f"ast_fail_tree: expected exit 1, got {proc.returncode}")
+check_exact("ast_fail_tree", findings, expected)
+check(report["frontend"] == "internal",
+      f"json report frontend: {report['frontend']!r}")
+check(report["unsuppressed"] == len(expected),
+      f"json report unsuppressed {report['unsuppressed']} != {len(expected)}")
 
 # --- cindex frontend: exercise when available, pin skip codes when not -------
 if cindex_available():
     with tempfile.TemporaryDirectory() as tmp:
         db = write_compile_db("ast_pass_tree", tmp)
-        proc, findings = run_ast("ast_pass_tree", "--frontend", "cindex",
-                                 "--compile-commands", db)
+        proc, findings = run_lint("ast_pass_tree", "--frontend", "cindex",
+                                  "--compile-commands", db)
         check(proc.returncode == 0,
               f"cindex ast_pass_tree: expected exit 0, got {proc.returncode}"
               f"\nstderr: {proc.stderr}")
@@ -154,8 +89,8 @@ if cindex_available():
               f"cindex ast_pass_tree: unexpected findings: {sorted(findings)}")
     with tempfile.TemporaryDirectory() as tmp:
         db = write_compile_db("ast_fail_tree", tmp)
-        proc, findings = run_ast("ast_fail_tree", "--frontend", "cindex",
-                                 "--compile-commands", db)
+        proc, findings = run_lint("ast_fail_tree", "--frontend", "cindex",
+                                  "--compile-commands", db)
         check(proc.returncode == 1,
               f"cindex ast_fail_tree: expected exit 1, got {proc.returncode}"
               f"\nstderr: {proc.stderr}")
@@ -164,24 +99,19 @@ if cindex_available():
               f"cindex ast_fail_tree: expected findings not produced: "
               f"{sorted(missing)}")
 else:
-    proc, _ = run_ast("ast_pass_tree", "--frontend", "cindex")
+    proc, _ = run_lint("ast_pass_tree", "--frontend", "cindex")
     check(proc.returncode == 77,
           f"cindex unavailable: --frontend cindex should exit 77, "
           f"got {proc.returncode}")
     check("SKIPPED" in proc.stderr,
           f"cindex skip should say SKIPPED, stderr: {proc.stderr!r}")
-    proc, _ = run_ast("ast_pass_tree", "--frontend", "cindex", "--ci")
+    proc, _ = run_lint("ast_pass_tree", "--frontend", "cindex", "--ci")
     check(proc.returncode == 2,
           f"cindex unavailable: --ci should exit 2, got {proc.returncode}")
     # auto must fall back to the internal frontend and still be clean.
-    proc, findings = run_ast("ast_pass_tree", "--frontend", "auto")
+    proc, findings = run_lint("ast_pass_tree", "--frontend", "auto")
     check(proc.returncode == 0 and not findings,
           f"auto fallback: expected clean exit 0, got {proc.returncode} "
           f"with {sorted(findings)}")
 
-if failures:
-    print("sncheck_ast_test: FAIL")
-    for f in failures:
-        print(" -", f)
-    sys.exit(1)
-print("sncheck_ast_test: OK")
+finish("sncheck_ast_test")

@@ -9,7 +9,7 @@ class SealedLog {
  public:
   void Append(const std::string& path) {
     MutexLock lock(mu_);
-    std::ofstream out(path);  // EXPECT blocking-under-lock
+    std::ofstream out(path);  // EXPECT blocking-under-lock, EXPECT raw-file-write
     out << 1;
   }
 

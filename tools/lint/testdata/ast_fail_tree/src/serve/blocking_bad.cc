@@ -17,7 +17,7 @@ class Journal {
 
   void Backoff() {
     MutexLock lock(mu_);
-    usleep(100);  // EXPECT blocking-under-lock
+    usleep(100);  // EXPECT blocking-under-lock, EXPECT raw-sleep
   }
 
   void Sync(CommHandle& comm) {

@@ -7,7 +7,7 @@ namespace sncube {
 
 double BadAllows() {
   // sncheck:allow(wall-clock)
-  const auto t = std::chrono::steady_clock::now();  // EXPECT wall-clock
+  const auto t = std::chrono::steady_clock::now();  // EXPECT wall-clock, EXPECT clock-domain
   // sncheck:allow(no-such-rule): justification for a rule that does not exist
   return std::chrono::duration<double>(t.time_since_epoch()).count();
 }

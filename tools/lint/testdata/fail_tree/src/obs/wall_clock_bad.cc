@@ -7,7 +7,7 @@
 namespace sncube::obs {
 
 double BadTraceStamp() {
-  const auto now = std::chrono::system_clock::now();  // EXPECT wall-clock
+  const auto now = std::chrono::system_clock::now();  // EXPECT wall-clock, EXPECT clock-domain
   return std::chrono::duration<double>(now.time_since_epoch()).count();
 }
 

@@ -1,11 +1,11 @@
-// Fixture: a justified suppression. The allow comment names the rule and
-// carries a reason, so the wall-clock hit on the next line is excused.
+// Fixture: a justified suppression. The allow comment names both clock rules
+// and carries a reason, so both hits on the next line are excused.
 #include <chrono>
 
 namespace sncube {
 
 double HostSecondsForProgressBar() {
-  // sncheck:allow(wall-clock): progress display only; never charged to the sim clock
+  // sncheck:allow(wall-clock, clock-domain): progress display only; never charged to the sim clock
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(now.time_since_epoch()).count();
 }

@@ -19,20 +19,26 @@
 // (src/serve/) and prints its StatsSnapshot as JSON.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/explorer.h"
@@ -73,7 +79,8 @@ namespace {
 // is not added here (or not written up) fails `ctest -L lint`.
 constexpr const char* kHelpText =
     "usage: sncube <command> [flags]\n"
-    "  (a flag the command does not list below is an error)\n"
+    "  (a flag the command does not list below is an error, and so is a\n"
+    "  numeric value that is not one whole number in the flag's range)\n"
     "\n"
     "commands:\n"
     "  generate   synthesize a fact table as CSV\n"
@@ -211,6 +218,46 @@ struct FlagSpec {
   std::vector<std::string> switches;
 };
 
+template <typename T>
+constexpr T kMax = std::numeric_limits<T>::max();
+
+std::vector<std::string> SplitCommas(const std::string& s) {
+  std::vector<std::string> parts;
+  std::stringstream ss(s);
+  std::string part;
+  while (std::getline(ss, part, ',')) parts.push_back(part);
+  return parts;
+}
+
+// Reads all of `text` as one number of type T in [lo, hi]. A sign on an
+// unsigned type, trailing characters, overflow, NaN or a value out of range
+// is a usage error naming --flag.
+template <typename T>
+T ParseNumber(const std::string& flag, std::string_view text, T lo, T hi) {
+  T value{};
+  bool whole = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    whole = ec == std::errc() && ptr == end;
+  } else {
+    whole = ParseWhole(text, value);
+  }
+  if (!whole || !(value >= lo && value <= hi)) {
+    std::ostringstream msg;
+    msg << "--" << flag << " expects "
+        << (std::is_floating_point_v<T> ? "a number" : "a whole number");
+    if (hi == kMax<T>) {
+      msg << " >= " << lo;
+    } else {
+      msg << " in [" << lo << ", " << hi << "]";
+    }
+    msg << ", got '" << text << "'";
+    Usage(msg.str().c_str());
+  }
+  return value;
+}
+
 // Minimal flag parser over one command's FlagSpec. Any other --name is a
 // usage error, so a typo or a retired flag fails instead of being ignored.
 class Args {
@@ -247,17 +294,46 @@ class Args {
   }
   bool Has(const std::string& name) const { return values_.contains(name); }
 
+  // Typed numeric reads (see ParseNumber): `fallback` stands for an absent
+  // optional flag and is not range-checked.
+  template <typename T>
+  T Number(const std::string& name, T fallback, T lo, T hi) const {
+    const auto v = Get(name);
+    return v ? ParseNumber(name, *v, lo, hi) : fallback;
+  }
+  template <typename T>
+  T RequireNumber(const std::string& name, T lo, T hi) const {
+    return ParseNumber(name, Require(name), lo, hi);
+  }
+  // A required comma-separated list of at least one number in [lo, hi].
+  template <typename T>
+  std::vector<T> NumberList(const std::string& name, T lo, T hi) const {
+    const std::string list = Require(name);
+    std::vector<T> out;
+    for (const auto& part : SplitCommas(list)) {
+      out.push_back(ParseNumber(name, part, lo, hi));
+    }
+    if (out.empty() || list.back() == ',') {
+      Usage(("--" + name + " expects comma-separated numbers, got '" + list +
+             "'").c_str());
+    }
+    return out;
+  }
+
+  // For a command whose mode switch narrows the flags it reads: any given
+  // flag outside `spec` is a usage error naming `mode`.
+  void AllowOnly(const FlagSpec& spec, const std::string& mode) const {
+    for (const auto& [name, value] : values_) {
+      if (std::ranges::find(spec.values, name) == spec.values.end() &&
+          std::ranges::find(spec.switches, name) == spec.switches.end()) {
+        Usage(("--" + name + " is not a flag of " + mode).c_str());
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> parts;
-  std::stringstream ss(s);
-  std::string part;
-  while (std::getline(ss, part, ',')) parts.push_back(part);
-  return parts;
-}
 
 int DimIndexByName(const Schema& schema, const std::string& name) {
   for (int i = 0; i < schema.dims(); ++i) {
@@ -268,15 +344,16 @@ int DimIndexByName(const Schema& schema, const std::string& name) {
 
 int CmdGenerate(const Args& args) {
   DatasetSpec spec;
-  spec.rows = std::atoll(args.Require("rows").c_str());
-  for (const auto& c : SplitCommas(args.Require("cards"))) {
-    spec.cardinalities.push_back(static_cast<std::uint32_t>(std::stoul(c)));
+  spec.rows = args.RequireNumber<std::int64_t>("rows", 1, kMax<std::int64_t>);
+  spec.cardinalities =
+      args.NumberList<std::uint32_t>("cards", 1, kMax<std::uint32_t>);
+  if (args.Has("alphas")) {
+    spec.alphas = args.NumberList("alphas", 0.0, kMax<double>);
+    if (spec.alphas.size() != spec.cardinalities.size()) {
+      Usage("--alphas needs one value per --cards entry");
+    }
   }
-  if (const auto alphas = args.Get("alphas")) {
-    for (const auto& a : SplitCommas(*alphas)) spec.alphas.push_back(std::stod(a));
-  }
-  spec.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("42").c_str()));
+  spec.seed = args.Number<std::uint64_t>("seed", 42, 0, kMax<std::uint64_t>);
 
   const Relation rel = GenerateDataset(spec);
   const Schema schema = spec.MakeSchema();
@@ -330,21 +407,19 @@ int CmdBuild(const Args& args) {
   // View selection.
   const AnalyticEstimator est(schema, static_cast<double>(raw.size()));
   std::vector<ViewId> selected;
-  if (const auto count = args.Get("views")) {
-    selected = GreedySelectViews(d, std::atoi(count->c_str()), est);
-  } else if (const auto fraction = args.Get("fraction")) {
-    selected = GreedySelectFraction(d, std::stod(*fraction), est);
+  if (args.Has("views")) {
+    selected = GreedySelectViews(d, args.RequireNumber("views", 1, 1 << d), est);
+  } else if (args.Has("fraction")) {
+    selected = GreedySelectFraction(
+        d, args.RequireNumber("fraction", std::nextafter(0.0, 1.0), 1.0), est);
   } else {
     selected = AllViews(d);
   }
 
-  const int p = std::atoi(args.Get("procs").value_or("1").c_str());
-  if (p < 1) Usage("--procs must be >= 1");
-  const int threads_per_rank =
-      std::atoi(args.Get("threads-per-rank").value_or("1").c_str());
-  if (threads_per_rank < 1) Usage("--threads-per-rank must be >= 1");
+  const int p = args.Number("procs", 1, 1, kMax<int>);
+  const int threads_per_rank = args.Number("threads-per-rank", 1, 1, kMax<int>);
   ParallelCubeOptions opts;
-  if (const auto gamma = args.Get("gamma")) opts.gamma_merge = std::stod(*gamma);
+  opts.gamma_merge = args.Number("gamma", opts.gamma_merge, 0.0, kMax<double>);
   if (args.Has("local-trees")) {
     opts.tree_mode = TreeMode::kLocal;
     opts.estimator = EstimatorKind::kFm;
@@ -494,10 +569,10 @@ int CmdQuery(const Args& args) {
       if (eq == std::string::npos) Usage("--where expects name=value");
       q.filters.push_back(
           {DimIndexByName(schema, clause.substr(0, eq)),
-           static_cast<Key>(std::stoul(clause.substr(eq + 1)))});
+           ParseNumber<Key>("where", clause.substr(eq + 1), 0, kMax<Key>)});
     }
   }
-  if (const auto top = args.Get("top")) q.top_k = std::atoi(top->c_str());
+  q.top_k = args.Number("top", 0, 1, kMax<int>);
 
   const auto trace_out = args.Get("trace-out");
   WallClockSource trace_clock;
@@ -639,30 +714,23 @@ int CmdServeSharded(const Args& args, const CubeResult& cube,
   if (const auto spec = args.Get("fault-plan")) plan = FaultPlan::Parse(*spec);
 
   RouterOptions ropts;
-  ropts.per_try_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("per-try-ms").value_or("50").c_str()));
-  ropts.max_tries =
-      1 + std::atoi(args.Get("retries").value_or("2").c_str());
-  ropts.hedge_delay_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("hedge-ms").value_or("0").c_str()));
+  // Millisecond flags become microseconds, so they stop where that would
+  // overflow.
+  const auto micros = [&](const char* flag, std::uint64_t fallback_ms) {
+    return 1000 * args.Number<std::uint64_t>(flag, fallback_ms, 0,
+                                             kMax<std::uint64_t> / 1000);
+  };
+  ropts.per_try_us = micros("per-try-ms", 50);
+  ropts.max_tries = 1 + args.Number("retries", 2, 0, kMax<int> - 1);
+  ropts.hedge_delay_us = micros("hedge-ms", 0);
   ropts.breaker.failure_threshold =
-      std::atoi(args.Get("breaker-failures").value_or("5").c_str());
-  ropts.breaker.cooldown_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("breaker-cooldown-ms").value_or("250").c_str()));
-  if (ropts.max_tries < 1 || ropts.breaker.failure_threshold < 1) {
-    Usage("--retries must be >= 0 and --breaker-failures >= 1");
-  }
+      args.Number("breaker-failures", 5, 1, kMax<int>);
+  ropts.breaker.cooldown_us = micros("breaker-cooldown-ms", 250);
 
-  const std::int64_t refresh_every =
-      std::atoll(args.Get("refresh-every").value_or("0").c_str());
-  const std::int64_t refresh_rows =
-      std::atoll(args.Get("refresh-rows").value_or("1000").c_str());
-  if (refresh_every < 0 || refresh_rows < 1) {
-    Usage("--refresh-every must be >= 0 and --refresh-rows >= 1");
-  }
+  const auto refresh_every = args.Number<std::int64_t>(
+      "refresh-every", 0, 0, kMax<std::int64_t>);
+  const auto refresh_rows = args.Number<std::int64_t>(
+      "refresh-rows", 1000, 1, kMax<std::int64_t>);
 
   ShardSet shard_set(cube, sopts, plan);
   Router router(shard_set, ropts);
@@ -759,27 +827,22 @@ int CmdServe(const Args& args) {
   const CubeResult cube = store.LoadCube();
 
   ServerOptions opts;
-  opts.workers = std::atoi(args.Get("workers").value_or("4").c_str());
-  opts.queue_depth = static_cast<std::size_t>(
-      std::atoll(args.Get("queue-depth").value_or("256").c_str()));
-  opts.cache_bytes = static_cast<std::size_t>(
-      std::atoll(args.Get("cache-mb").value_or("64").c_str())) << 20;
+  opts.workers = args.Number("workers", 4, 1, kMax<int>);
+  opts.queue_depth =
+      args.Number<std::size_t>("queue-depth", 256, 1, kMax<std::size_t>);
+  opts.cache_bytes =
+      args.Number<std::size_t>("cache-mb", 64, 0, kMax<std::size_t> >> 20)
+      << 20;
 
   WorkloadSpec wspec;
-  wspec.alpha = std::stod(args.Get("alpha").value_or("1.0"));
-  wspec.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("42").c_str()));
+  wspec.alpha = args.Number("alpha", 1.0, 0.0, kMax<double>);
+  wspec.seed = args.Number<std::uint64_t>("seed", 42, 0, kMax<std::uint64_t>);
   const QueryMix mix(cube, schema, wspec);
 
-  const std::int64_t total_queries =
-      std::atoll(args.Get("queries").value_or("20000").c_str());
-  const int clients = std::atoi(args.Get("clients").value_or("8").c_str());
-  if (clients < 1 || total_queries < 1) {
-    Usage("--clients and --queries must be >= 1");
-  }
-
-  const int shards = std::atoi(args.Get("shards").value_or("1").c_str());
-  if (shards < 1) Usage("--shards must be >= 1");
+  const auto total_queries =
+      args.Number<std::int64_t>("queries", 20000, 1, kMax<std::int64_t>);
+  const int clients = args.Number("clients", 8, 1, kMax<int>);
+  const int shards = args.Number("shards", 1, 1, kMax<int>);
   if (shards >= 2) {
     return CmdServeSharded(args, cube, schema, opts, mix, wspec,
                            total_queries, clients, shards);
@@ -842,53 +905,45 @@ int CmdServe(const Args& args) {
 template <typename Options>
 Options ChaosOptionsFrom(const Args& args, Options opts,
                          const std::string& sizes_flag) {
-  const auto number = [&](const char* flag, auto fallback) {
-    const auto v = args.Get(flag);
-    return v ? std::atoll(v->c_str()) : static_cast<long long>(fallback);
-  };
-  const long long plans = number("plans", opts.plans);
-  const long long rows = number("rows", opts.rows);
-  long long requests = 1;
+  opts.plans = args.Number("plans", opts.plans, 1, kMax<int>);
+  opts.seed = args.Number<std::uint64_t>("seed", opts.seed, 0,
+                                         kMax<std::uint64_t>);
+  opts.rows = args.Number<std::uint64_t>("rows", opts.rows, 1,
+                                         kMax<std::uint64_t>);
   if constexpr (requires { opts.requests; }) {
-    requests = number("requests", opts.requests);
-    opts.requests = static_cast<int>(requests);
+    opts.requests = args.Number("requests", opts.requests, 1, kMax<int>);
   }
-  opts.plans = static_cast<int>(plans);
-  opts.seed = static_cast<std::uint64_t>(number("seed", opts.seed));
-  opts.rows = static_cast<std::uint64_t>(rows);
-  if (const auto sizes = args.Get(sizes_flag)) {
-    opts.sizes.clear();
-    for (const auto& s : SplitCommas(*sizes)) {
-      opts.sizes.push_back(std::atoi(s.c_str()));
-    }
-  }
-  if (plans < 1 || rows < 1 || requests < 1 || opts.sizes.empty()) {
-    Usage(("--plans, --rows and --requests must be >= 1, --" + sizes_flag +
-           " non-empty").c_str());
-  }
-  for (const int size : opts.sizes) {
-    if (size < 2) {
-      Usage(("chaos --" + sizes_flag + " entries must be >= 2").c_str());
-    }
-  }
+  if (args.Has(sizes_flag)) opts.sizes = args.NumberList(sizes_flag, 2, kMax<int>);
   opts.verbose = args.Has("verbose");
   return opts;
 }
 
 // chaos: the build search, or with --serve / --refresh the serving-tier and
-// online-refresh searches. --fail-out lines are "<size> <spec>", where the
-// size is the cluster size or the shard count, so the nightly corpus
-// handles every tier uniformly.
+// online-refresh searches. Each tier reads its own flags, and a flag of
+// another tier is an error rather than a silently kept default. --fail-out
+// lines are "<size> <spec>", where the size is the cluster size or the
+// shard count, so the nightly corpus handles every tier uniformly.
 int CmdChaos(const Args& args) {
-  const chaos::ChaosReport report =
-      args.Has("refresh")
-          ? chaos::RunRefreshChaosSearch(ChaosOptionsFrom(
-                args, chaos::RefreshChaosOptions{}, "shards"))
-      : args.Has("serve")
-          ? chaos::RunServeChaosSearch(
-                ChaosOptionsFrom(args, chaos::ServeChaosOptions{}, "shards"))
-          : chaos::RunChaosSearch(
-                ChaosOptionsFrom(args, chaos::ChaosOptions{}, "procs"));
+  const auto serving_tier = [&](const std::string& tier) {
+    args.AllowOnly({{"plans", "seed", "shards", "rows", "requests", "fail-out"},
+                    {"verbose", tier}},
+                   "chaos --" + tier);
+  };
+  chaos::ChaosReport report;
+  if (args.Has("refresh")) {
+    serving_tier("refresh");
+    report = chaos::RunRefreshChaosSearch(
+        ChaosOptionsFrom(args, chaos::RefreshChaosOptions{}, "shards"));
+  } else if (args.Has("serve")) {
+    serving_tier("serve");
+    report = chaos::RunServeChaosSearch(
+        ChaosOptionsFrom(args, chaos::ServeChaosOptions{}, "shards"));
+  } else {
+    args.AllowOnly({{"plans", "seed", "procs", "rows", "fail-out"}, {"verbose"}},
+                   "the chaos build search");
+    report = chaos::RunChaosSearch(
+        ChaosOptionsFrom(args, chaos::ChaosOptions{}, "procs"));
+  }
   std::printf("%s\n", report.ToJson().c_str());
   if (const auto fail_out = args.Get("fail-out")) {
     if (!report.ok()) {
